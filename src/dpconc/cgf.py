@@ -11,11 +11,17 @@ The supremum is computed through the 1-D dual
 
     B = min_{c in [v_max, v_max + alpha]} c - alpha + alpha * sum_i p_i log(alpha / (c - v_i)),
 
-which is strictly convex in c.  An interior stationary point satisfies
-sum_i alpha p_i / (c - v_i) = 1 and yields the witness
+which is strictly convex in c.  An interior stationary point solves the
+secular equation sum_i alpha p_i / (c - v_i) = 1 and yields the witness
 q_i = alpha p_i / (c - v_i); the boundary c = v_max is admissible only
 when the base has no mass at v_max, and then the leftover weight
 1 - sum_i alpha p_i / (v_max - v_i) sits at the ambient maximizer.
+
+The secular equation is solved for the scale-free ratio r = (c - v_max) / alpha
+in [top mass, 1] (see ``_conjugate``), with ``_root``, the one safeguarded
+Newton root finder behind every bound of the package: the sum regions and
+tails of ``dpconc.sums`` and the KL-UCB index ``kinf_inverse`` are outer
+roots over the same kernel.
 
 Also here: the Gamma-process log-MGF, the single-process Chernoff tail,
 and the closed-form bound for Beta random variables.
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinf import kinf
-from .measures import DPSpec, WeightedValues, canonicalize, kl_bernoulli
+from .measures import DPSpec, WeightedValues, kl_bernoulli
 
 __all__ = [
     "CgfBoundResult",
@@ -40,7 +46,7 @@ __all__ = [
     "beta_cgf_bound",
 ]
 
-_C_TOL = 1e-12
+_RTOL = 1e-13
 _MAX_ITER = 200
 
 
@@ -54,47 +60,125 @@ class CgfBoundResult:
     witness: WeightedValues
 
 
+def _root(f, lo: float, hi: float, x: float, atol: float = 0.0) -> float:
+    """Root of ``f`` on the bracket [lo, hi], where f(lo) <= 0 <= f(hi).
+
+    ``f(x)`` returns the value and the slope at x.  Newton steps start
+    from ``x``; every evaluation shrinks the bracket, and bisection
+    replaces a step that would leave it, that has no positive slope to
+    follow, or that is not under half the step before last (which breaks
+    Newton cycles).  Stops once a step, or the bracket, is at most
+    _RTOL * |x| + atol.
+    """
+    last = older = math.inf
+    for _ in range(_MAX_ITER):
+        fx, slope = f(x)
+        if fx < 0.0:
+            lo = x
+        elif fx > 0.0:
+            hi = x
+        elif fx == 0.0:
+            return x
+        else:
+            raise ArithmeticError(f"root finder met a NaN at {x!r}")
+        tol = _RTOL * abs(x) + atol
+        step = fx / slope if slope > 0.0 else math.inf
+        if abs(step) <= tol:
+            return x - step
+        if lo <= x - step <= hi and 2.0 * abs(step) <= older:
+            x -= step
+        else:
+            step = 0.5 * (hi - lo)
+            x = lo + step
+            if hi - lo <= tol:
+                return x
+        older, last = last, abs(step)
+    raise ArithmeticError(f"root finder did not converge in {_MAX_ITER} steps")
+
+
+def _atoms(base: WeightedValues) -> tuple[float, list[tuple[float, float]], np.ndarray]:
+    """Base mass at the top value, (p_i, log(v_max - v_i)) for the positive
+    atoms below it, and the positions of those atoms in ``base``."""
+    below = np.flatnonzero(base.weights[:-1] > 0.0)
+    gaps = base.v_max - base.values[below]
+    terms = list(zip(base.weights[below].tolist(), np.log(gaps).tolist()))
+    return float(base.weights[-1]), terms, below
+
+
+def _conjugate(top: float, terms, ell: float, r: float = 1.0):
+    """The conjugate at concentration kappa = exp(ell), scale-free.
+
+    With u_i = kappa / (v_max - v_i) for the ``terms`` (p_i, log gap) of
+    :func:`_atoms`, the dual optimum c = v_max + kappa * r solves the
+    secular equation divided through by kappa,
+
+        r = top + sum_i p_i r u_i / (1 + r u_i),
+
+    at its largest root in [top, 1], found from the start ``r``; r = 0 on
+    the boundary branch (no top mass and sum_i p_i u_i <= 1).  Working in
+    r rather than c keeps c - v_max from underflowing at tiny kappa.
+
+    Returns r, the witness weights q_i = p_i u_i / (1 + r u_i) below the
+    top, the mean gap (v_max - E_q[v]) / kappa = 1 - r, KL(base || q) and
+    the derivative of that KL in ell.  The conjugate itself is
+    v_max - kappa * (gap + KL).
+    """
+    pu = [(p, math.exp(ell - lg)) for p, lg in terms]
+    if top > 0.0 or sum(p * u for p, u in pu) > 1.0:
+
+        def excess(r_):
+            s0 = s1 = 0.0
+            for p, u in pu:
+                t = u / (1.0 + r_ * u)
+                s0 += p * t
+                s1 += p * t * t
+            return r_ * (1.0 - s0) - top, 1.0 - s0 + r_ * s1
+
+        # r = 0 solves the equation too when top = 0: never start there
+        r = _root(excess, top, 1.0, r if top < r <= 1.0 else 1.0)
+    else:
+        r = 0.0
+    q = []
+    gap = curv = tilt = 0.0
+    for p, u in pu:
+        d = 1.0 / (1.0 + r * u)
+        q.append(p * u * d)
+        gap += p * d
+        curv += p * (u * d) ** 2
+        tilt += p * u * d * d
+    # gap = 1 - r at the root, to full relative accuracy even where r
+    # rounds to 1 (large kappa), so it stands in for 1 - r below
+    kl = top * math.log1p(-gap) if top > 0.0 else 0.0
+    for (p, u), (_, lg) in zip(pu, terms):
+        # log(r + 1/u) without cancellation on either side of u = 1
+        kl += p * (math.log1p(1.0 / u - gap) if u > 1.0 else math.log1p(r * u) + lg - ell)
+    # dr/dell from the secular equation; 0 on the boundary branch
+    dr = tilt / (curv + top / (r * r)) if r > 0.0 else 0.0
+    return r, q, gap, kl, dr - gap
+
+
 def cgf_bound(dp: DPSpec) -> CgfBoundResult:
     """Convex conjugate of ``alpha * KL(base || .)`` evaluated at the payoff."""
     base = dp.base
     alpha = dp.alpha
-    vmax = base.v_max
-    v, p = base.positive()
+    top, terms, below = _atoms(base)
+    r, q_below, gap, kl, _ = _conjugate(top, terms, math.log(alpha))
+    value = base.v_max - alpha * (gap + kl)
+    witness, boundary_mass = _witness(base, top, below, r, q_below)
+    return CgfBoundResult(value, base.v_max + alpha * r, boundary_mass, witness)
 
-    terms = [(float(pi), float(vi)) for pi, vi in zip(p, v)]
-    boundary_mass = 0.0
-    if base.mass_at_max == 0.0:
-        sum_q = alpha * sum(pi / (vmax - vi) for pi, vi in terms)
-        if sum_q <= 1.0:
-            c = vmax
-            boundary_mass = 1.0 - sum_q
-        else:
-            c = _solve_interior(alpha, terms, vmax)
-    else:
-        c = _solve_interior(alpha, terms, vmax)
 
-    value = c - alpha + alpha * sum(pi * math.log(alpha / (c - vi)) for pi, vi in terms)
-
+def _witness(base: WeightedValues, top: float, below, r: float, q_below) -> tuple[WeightedValues, float]:
+    """Witness measure on the atoms of ``base`` from a :func:`_conjugate`
+    solution, and the boundary mass it puts on an ambient top."""
     q = np.zeros_like(base.weights)
-    q[base.weights > 0] = alpha * p / (c - v)
-    if boundary_mass > 0.0:
-        q[-1] += boundary_mass
-    witness = canonicalize(zip(base.values, q))
-    return CgfBoundResult(value, c, boundary_mass, witness)
-
-
-def _solve_interior(alpha: float, terms: list[tuple[float, float]], vmax: float) -> float:
-    # g'(c) = 1 - alpha sum p_i/(c - v_i): negative at v_max+, >= 0 at v_max+alpha
-    lo, hi = vmax, vmax + alpha
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if 1.0 - alpha * sum(pi / (mid - vi) for pi, vi in terms) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _C_TOL:
-            break
-    return 0.5 * (lo + hi)
+    q[below] = q_below
+    boundary_mass = 0.0
+    if top > 0.0:
+        q[-1] = top / r
+    elif r == 0.0:
+        boundary_mass = q[-1] = max(1.0 - float(q.sum()), 0.0)
+    return WeightedValues(base.values, q / q.sum()), boundary_mass
 
 
 def cgf_bound_scaled(dp: DPSpec, lam: float, u: float) -> float:
@@ -103,8 +187,10 @@ def cgf_bound_scaled(dp: DPSpec, lam: float, u: float) -> float:
         raise ValueError("lam must be nonnegative")
     if lam == 0.0:
         return 0.0
-    scaled = canonicalize((lam * (v - u), w) for v, w in dp.base.atoms)
-    return cgf_bound(DPSpec(dp.alpha, scaled)).value
+    # the gaps to the top scale by lam, so the concentration scales by 1/lam
+    top, terms, _ = _atoms(dp.base)
+    _, _, gap, kl, _ = _conjugate(top, terms, math.log(dp.alpha) - math.log(lam))
+    return lam * (dp.base.v_max - u) - dp.alpha * (gap + kl)
 
 
 def gamma_log_mgf(dp: DPSpec) -> float:

@@ -4,7 +4,7 @@ Subcommands compute bounds from JSON measure/spec files, run the
 self-verification suites, or drive bandit experiments.  Results are
 JSON on stdout (numbers at 9 significant digits unless --precision is
 given); bandit traces are CSV.  Exit codes: 0 success, 1 verification
-failure, 2 input error.
+failure, 2 input error or a failed computation (an ArithmeticError).
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

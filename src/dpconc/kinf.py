@@ -27,7 +27,6 @@ __all__ = ["KinfResult", "kinf", "kinf_slope", "kinf_inverse"]
 
 _LAMBDA_TOL = 1e-12
 _MAX_ITER = 200
-_INVERSE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -104,24 +103,19 @@ def kinf_slope(base: WeightedValues, u: float) -> float:
 
 
 def kinf_inverse(base: WeightedValues, budget: float) -> float:
-    """Largest u in [mean, v_max] with kinf(base, u) <= budget.
+    """Largest u in [mean, v_max] with kinf(base, u) <= budget: the KL-UCB index.
 
-    Bisection to absolute tolerance 1e-10; returns v_max when even the
+    It is the one-component confidence region of :mod:`dpconc.sums` at
+    concentration 1 and log(1/delta) = budget, solved to relative accuracy
+    through the conjugate's secular equation; returns v_max when even the
     supremum of the divergence stays within budget (point-mass bases).
     """
-    if budget < 0:
+    from .sums import _region  # sums builds on this module
+
+    if not budget >= 0:
         raise ValueError("budget must be nonnegative")
-    mean = base.mean
-    vmax = base.v_max
-    if kinf(base, vmax).value <= budget:
-        return vmax
-    lo, hi = mean, vmax
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if kinf(base, mid).value <= budget:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _INVERSE_TOL:
-            break
-    return lo
+    if budget == 0.0:
+        return base.mean
+    if math.isinf(budget):
+        return base.v_max
+    return _region([(1.0, base)], budget)[0]

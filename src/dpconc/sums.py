@@ -1,22 +1,28 @@
 """Confidence regions and Chernoff tails for sums of independent processes.
 
+Both are one root over a shared multiplier lam of the conjugate bounds
+B_j of :mod:`dpconc.cgf`, each solved through its secular equation.
+
 Given components (alpha_j, nu_j) and a confidence level delta, the
 region radius is
 
-    sup { sum_j E_{mu_j}[v_j] : sum_j alpha_j KL(nu_j || mu_j) <= log(1/delta) },
+    sup { sum_j E_{mu_j}[v_j] : sum_j alpha_j KL(nu_j || mu_j) <= log(1/delta) }
+        = min_{lam >= 0} lam log(1/delta) + sum_j B_j(lam alpha_j, v_j),
 
-computed by strong duality as min_{lam >= 0} lam log(1/delta) + sum_j S_j(lam)
-where S_j(lam) is the conjugate bound of component j at effective
-concentration lam * alpha_j (and S_j(0) is its maximal payoff value).
+with optimum where the witnesses q_j(lam) of the conjugates at
+concentration lam alpha_j spend the budget exactly,
+sum_j alpha_j KL(nu_j || q_j(lam)) = log(1/delta).  The divergence has
+the closed form KL = sum_i p_i log((c - v_i) / (lam alpha_j)) at the dual
+optimum c, and falls with lam, so the root is taken in log lam.
 
-The tail bound at a level u is exp(-I(u)) with
+The tail bound at a level u is exp(-I(u)) with the Chernoff exponent
 
-    I(u) = inf { sum_j alpha_j kinf_j(u_j) : sum_j u_j = u },
+    I(u) = inf { sum_j alpha_j kinf_j(u_j) : sum_j u_j = u }
+         = sup_{lam >= 0} lam u - sum_j B_j(alpha_j, lam v_j),
 
-solved by equalizing the scaled slopes alpha_j * kinf_slope_j(u_j)
-across components: each component's level is inverted from a shared
-slope parameter eta by bisection, and eta itself is bisected until the
-levels sum to u.
+whose optimum is the root of u = sum_j E_{q_j(lam)}[v_j]; the witness
+means there are the optimal split of u.  Both outer roots start from
+brackets that follow from the inputs in closed form.
 """
 
 from __future__ import annotations
@@ -24,18 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .cgf import cgf_bound
-from .kinf import kinf
-from .measures import DPSpec, WeightedValues, kl_discrete
+from .cgf import _atoms, _conjugate, _root, _witness
+from .measures import DPSpec, WeightedValues
 
 __all__ = ["SumSpec", "RegionResult", "region_radius", "sum_tail_bound", "optimal_split"]
-
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
-_ETA_TOL = 1e-12
-_LEVEL_TOL = 1e-10
-_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -70,163 +68,157 @@ class RegionResult:
     unconstrained: bool = False
 
 
-def _degenerate(dp: DPSpec) -> bool:
-    # all mass already at the top payoff value: nothing to optimize
-    pv, _ = dp.base.positive()
-    return pv.size == 1 and pv[0] == dp.base.v_max
+class _Outer:
+    """The components of a sum, ready for an outer root over log lam.
+
+    Components whose base puts all its mass on its top value are
+    degenerate: their conjugate is v_max at every concentration, so they
+    only add v_max and sit out of the root.
+    """
+
+    def __init__(self, comps):
+        self.comps = comps
+        self.atoms = [_atoms(base) for _, base in comps]
+        self.live = [j for j, (_, terms, _) in enumerate(self.atoms) if terms]
+        self.logs = [math.log(alpha) for alpha, _ in comps]
+        self.sols = [None] * len(comps)
+
+    def solve(self, shift: float) -> list[tuple[float, float, tuple]]:
+        """(alpha_j, kappa_j, conjugate solution) of each live component.
+
+        Component j is solved at concentration kappa_j = alpha_j * exp(shift),
+        starting from its previous solution.
+        """
+        out = []
+        for j in self.live:
+            top, terms, _ = self.atoms[j]
+            ell = self.logs[j] + shift
+            prev = self.sols[j]
+            self.sols[j] = sol = _conjugate(top, terms, ell, prev[0] if prev else 1.0)
+            out.append((self.comps[j][0], math.exp(ell), sol))
+        return out
+
+
+# a step of log lam is a relative step of lam
+_TAU_TOL = 1e-13
+
+
+def _region(comps, budget: float) -> tuple[float, float, _Outer]:
+    """Radius, multiplier and solved components of the region at ``budget`` nats.
+
+    ``comps`` holds (alpha, base) pairs and ``budget`` is positive.  The
+    root is taken in tau = log lam on log(budget / spent), which is near
+    linear both where lam is small (spent ~ -tau) and where it is large
+    (spent ~ exp(-2 tau)).
+    """
+    outer = _Outer(comps)
+    tops = sum(base.v_max for _, base in comps)
+    if not outer.live:
+        return tops, 0.0, outer
+
+    def h(tau: float):
+        spent = dspent = 0.0
+        for alpha, _, (_, _, _, kl, dkl) in outer.solve(tau):
+            spent += alpha * kl
+            dspent += alpha * dkl
+        if spent <= 0.0:
+            return math.inf, 0.0
+        return math.log(budget / spent), -dspent / spent
+
+    # spent >= sum_j alpha_j (sum_i p_i log(gap_i / kappa_j) + top_j log top_j),
+    # which is exact as lam -> 0; and spent <= sum_j (v_max_j - mean_j) / lam
+    # because each conjugate is at least the base mean
+    slope = offset = reach = 0.0
+    for j in outer.live:
+        alpha, base = comps[j]
+        top, terms, _ = outer.atoms[j]
+        mass = sum(p for p, _ in terms)
+        slope += alpha * mass
+        offset += alpha * (sum(p * lg for p, lg in terms) - mass * outer.logs[j])
+        offset += alpha * top * math.log(top) if top > 0.0 else 0.0
+        reach += base.v_max - base.mean
+    lo = (offset - budget) / slope
+    tau = _root(h, lo, max(math.log(reach / budget), lo), lo, atol=_TAU_TOL)
+    lam = math.exp(tau)
+    radius = lam * budget + tops
+    for _, kappa, (_, _, gap, kl, _) in outer.solve(tau):
+        radius -= kappa * (gap + kl)
+    return radius, lam, outer
 
 
 def region_radius(spec: SumSpec, delta: float) -> RegionResult:
     """Radius of the product confidence region at level ``delta``."""
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0,1), got {delta!r}")
-    budget = -math.log(delta)
-    comps = spec.components
-
-    if all(_degenerate(c) for c in comps):
-        return RegionResult(
-            radius=sum(c.base.v_max for c in comps),
-            lambda_star=0.0,
-            witnesses=tuple(c.base for c in comps),
-            unconstrained=True,
-        )
-
-    def conjugates(lam: float):
-        return [cgf_bound(DPSpec(lam * c.alpha, c.base)) for c in comps]
-
-    def g(lam: float) -> float:
-        if lam == 0.0:
-            return sum(c.base.v_max for c in comps)
-        return lam * budget + sum(r.value for r in conjugates(lam))
-
-    # grow an upper end until the objective turns upward, then golden-section
-    hi = 1.0
-    g_hi = g(hi)
-    for _ in range(_MAX_ITER):
-        g_next = g(2.0 * hi)
-        if g_next >= g_hi:
-            break
-        hi *= 2.0
-        g_hi = g_next
-    hi *= 2.0
-
-    lam = _golden_min(g, 0.0, hi)
-
-    # polish: the slope budget - sum_j alpha_j KL_j(lam) is nondecreasing in lam
-    def slope(lam_: float) -> float:
-        return budget - _divergence_spent(comps, conjugates(lam_))
-
-    lo_p, hi_p = lam / 2.0, lam * 2.0
-    if slope(lo_p) < 0.0 <= slope(hi_p):
-        for _ in range(100):
-            mid = 0.5 * (lo_p + hi_p)
-            if slope(mid) < 0.0:
-                lo_p = mid
-            else:
-                hi_p = mid
-            if hi_p - lo_p <= _ETA_TOL * max(1.0, hi_p):
-                break
-        lam = 0.5 * (lo_p + hi_p)
-
-    results = conjugates(lam)
-    witnesses = tuple(r.witness for r in results)
-    radius = sum(w.mean for w in witnesses)
-    return RegionResult(radius=radius, lambda_star=lam, witnesses=witnesses)
-
-
-def _divergence_spent(comps, results) -> float:
-    return sum(c.alpha * kl_discrete(c.base, r.witness) for c, r in zip(comps, results))
-
-
-def _golden_min(f, lo: float, hi: float) -> float:
-    x1 = hi - _GOLD * (hi - lo)
-    x2 = lo + _GOLD * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(300):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLD * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLD * (hi - lo)
-            f2 = f(x2)
-        if hi - lo <= _ETA_TOL * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    comps = [(c.alpha, c.base) for c in spec.components]
+    radius, lam, outer = _region(comps, -math.log(delta))
+    witnesses = []
+    for (_, base), (top, _, below), sol in zip(comps, outer.atoms, outer.sols):
+        witnesses.append(base if sol is None else _witness(base, top, below, sol[0], sol[1])[0])
+    return RegionResult(radius=radius, lambda_star=lam, witnesses=tuple(witnesses),
+                        unconstrained=not outer.live)
 
 
 # -- tail bound over an additive split ------------------------------------
 
 
-def _level_of_slope(dp: DPSpec, eta: float) -> float:
-    """sup { s in [mean, v_max) : alpha * kinf_slope(s) <= eta } by bisection."""
-    mean, vmax = dp.base.mean, dp.base.v_max
-    if vmax == mean or eta <= 0.0:
-        return mean
-    lo, hi = mean, vmax
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if dp.alpha * kinf(dp.base, mid).lambda_star <= eta:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _LEVEL_TOL:
-            break
-    return lo
+def _tail(spec: SumSpec, u: float) -> tuple[float, list[float]]:
+    """Chernoff exponent I(u) and the optimal split, for means < u < maxima.
 
+    Component j's conjugate at payoff lam v_j has concentration
+    alpha_j / lam.  The root is taken in tau = log lam on
+    log((tops - u) / deficit), where tops is the sum of maxima and the
+    deficit sum_j (v_max_j - E_{q_j}[v_j]) falls like exp(-tau) for large lam.
+    """
+    comps = [(c.alpha, c.base) for c in spec.components]
+    outer = _Outer(comps)
+    tops = sum(base.v_max for _, base in comps)
+    means = sum(base.mean for _, base in comps)
 
-def _split(spec: SumSpec, u: float) -> list[float]:
-    comps = spec.components
-    means = [c.base.mean for c in comps]
-    vmaxs = [c.base.v_max for c in comps]
-    if u <= sum(means):
-        return means
-    if u >= sum(vmaxs):
-        return vmaxs
-    if len(comps) == 1:
-        return [u]
+    def excess(tau: float):
+        deficit = ddeficit = 0.0
+        for _, kappa, (_, _, gap, _, dkl) in outer.solve(-tau):
+            deficit += kappa * gap
+            ddeficit += kappa * dkl
+        if deficit <= 0.0:
+            return math.inf, 0.0
+        return math.log((tops - u) / deficit), -ddeficit / deficit
 
-    def total(eta: float) -> list[float]:
-        return [_level_of_slope(c, eta) for c in comps]
-
-    eta_hi = 1.0
-    for _ in range(_MAX_ITER):
-        if sum(total(eta_hi)) >= u:
-            break
-        eta_hi *= 2.0
-    eta_lo = 0.0
-    levels = total(eta_lo)
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * (eta_lo + eta_hi)
-        cand = total(mid)
-        if sum(cand) <= u:
-            eta_lo, levels = mid, cand
-        else:
-            eta_hi = mid
-        if eta_hi - eta_lo <= _ETA_TOL * max(1.0, eta_hi):
-            break
-
-    # hand the residual to the component with the most slack toward its top
-    residual = u - sum(levels)
-    order = np.argsort([-c.alpha * (vm - lv) for c, vm, lv in zip(comps, vmaxs, levels)])
-    for idx in order:
-        room = vmaxs[idx] - levels[idx]
-        step = min(residual, room) if residual > 0 else residual
-        levels[idx] += step
-        residual -= step
-        if abs(residual) == 0.0:
-            break
-    return levels
+    # Pinsker bounds each witness mean by mean_j + lam spread_j^2 / (2 alpha_j),
+    # and q_i <= alpha_j p_i / (lam gap_i) bounds it below by
+    # v_max_j - alpha_j (1 - top_j) / lam
+    spread = below = 0.0
+    for j in outer.live:
+        alpha, base = comps[j]
+        spread += (base.v_max - base.v_min) ** 2 / (2.0 * alpha)
+        below += alpha * (1.0 - outer.atoms[j][0])
+    lo = math.log((u - means) / spread)
+    hi = max(math.log(below / (tops - u)), lo)
+    tau = _root(excess, lo, hi, hi, atol=_TAU_TOL)
+    lam = math.exp(tau)
+    exponent = lam * (u - tops)
+    split = [base.v_max for _, base in comps]
+    for j, (alpha, kappa, (_, _, gap, kl, _)) in zip(outer.live, outer.solve(-tau)):
+        exponent += alpha * (gap + kl)
+        split[j] -= kappa * gap
+    return max(exponent, 0.0), split
 
 
 def optimal_split(spec: SumSpec, u: float) -> list[float]:
-    """Levels (u_j) summing to ``u`` that minimize sum_j alpha_j kinf_j(u_j)."""
-    means = sum(c.base.mean for c in spec.components)
-    vmaxs = sum(c.base.v_max for c in spec.components)
-    if not (means <= u <= vmaxs):
-        raise ValueError(f"u must lie in [{means}, {vmaxs}], got {u!r}")
-    return _split(spec, u)
+    """Levels (u_j) summing to ``u`` that minimize sum_j alpha_j kinf_j(u_j).
+
+    They are the means of the tail's witnesses at the optimal multiplier.
+    """
+    comps = spec.components
+    means = [c.base.mean for c in comps]
+    vmaxs = [c.base.v_max for c in comps]
+    if not (sum(means) <= u <= sum(vmaxs)):
+        raise ValueError(f"u must lie in [{sum(means)}, {sum(vmaxs)}], got {u!r}")
+    if u == sum(means):
+        return means
+    if u == sum(vmaxs):
+        return vmaxs
+    return _tail(spec, u)[1]
 
 
 def sum_tail_bound(spec: SumSpec, u: float) -> float:
@@ -234,10 +226,6 @@ def sum_tail_bound(spec: SumSpec, u: float) -> float:
     comps = spec.components
     if u <= sum(c.base.mean for c in comps):
         return 1.0
-    if u > sum(c.base.v_max for c in comps):
+    if u >= sum(c.base.v_max for c in comps):
         return 0.0
-    levels = _split(spec, u)
-    exponent = sum(c.alpha * kinf(c.base, lv).value for c, lv in zip(comps, levels))
-    if math.isinf(exponent):
-        return 0.0
-    return min(1.0, math.exp(-exponent))
+    return min(1.0, math.exp(-_tail(spec, u)[0]))

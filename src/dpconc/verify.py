@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 from .cgf import cgf_bound, cgf_bound_scaled, gamma_log_mgf, tail_bound_single
 from .kinf import kinf
@@ -163,6 +162,8 @@ def suite_superadd(seed: int, samples: int = 500, kmax: int = 12, rel_tol: float
 
 def suite_moments(seed: int, samples: int = 100_000, configs: int = 20) -> dict:
     """Closed-form nested moments vs simulation, and sampler agreement."""
+    from scipy import stats  # the only scipy use in the package
+
     rng = np.random.default_rng(seed)
     checks = []
     worst_sigma = math.inf

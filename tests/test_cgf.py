@@ -44,6 +44,11 @@ class TestCgfBound:
         assert 0.5 <= v10 <= v1
         assert v10 < v1
 
+    def test_large_concentration_to_relative_accuracy(self):
+        # B = mean + Var / (2 alpha) + O(alpha^-2): no cancellation at alpha = 1e9
+        got = cgf_bound(DPSpec(1e9, BER_HALF)).value
+        assert got - 0.5 == pytest.approx(0.25 / 2e9, rel=1e-4)
+
     def test_value_at_least_mean(self):
         rng = np.random.default_rng(12)
         for _ in range(60):

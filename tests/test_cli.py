@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -140,6 +142,35 @@ class TestErrorContract:
         bad.write_text(json.dumps({"n": 5, "m": 2, "block_means": [0.9, 0.6]}))
         code, _, _ = run_cli(capsys, "bandit", str(bad), "--policy", "cts", "-T", "5")
         assert code == 2
+
+    def test_arithmetic_error_exits_2(self, capsys, monkeypatch, spec_file):
+        import dpconc.cli as cli_mod
+
+        def overflow(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cli_mod, "region_radius", overflow)
+        code, out, err = run_cli(capsys, "region", spec_file, "--delta", "0.1")
+        assert code == 2
+        assert out == ""
+        assert "error: math range error" in err
+
+    def test_tiny_alpha_region_succeeds(self, capsys, tmp_path):
+        # a budget of 2 nats at alpha = 1e-9 leaves each witness all but about
+        # exp(-1e9) of its mass on the top atom
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"components": [{"alpha": 1e-9, "base": BER}] * 2}))
+        code, out, _ = run_cli(capsys, "region", str(spec), "--delta", "0.1353352832366127")
+        assert code == 0
+        assert json.loads(out)["radius"] == pytest.approx(2.0, rel=1e-12)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, dpconc.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 class TestVerifyCommand:

@@ -1,0 +1,96 @@
+"""Scale and shift equivariance, monotonicity and range of the outer bounds.
+
+Shifting the payoffs of a component by t shifts the KL-UCB index, the
+region radius and the tail level by t; scaling every payoff by s > 0
+scales them by s.  The solvers work in scale-free variables, so these
+hold to rounding at any payoff scale, down to s = 1e-12.
+"""
+
+import math
+
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
+
+from conftest import measures
+from dpconc.kinf import kinf_inverse
+from dpconc.measures import DPSpec, canonicalize
+from dpconc.sums import SumSpec, region_radius, sum_tail_bound
+
+REL = 1e-9
+
+BER_HALF = canonicalize([(0.0, 0.5), (1.0, 0.5)])
+scales = st.integers(-12, 6).map(lambda k: 10.0**k)
+shifts = st.integers(-40, 40).map(lambda i: i / 4.0)
+alphas = st.integers(-8, 12).map(lambda k: 2.0 ** (k / 2.0))
+components = st.lists(st.tuples(alphas, measures()), min_size=1, max_size=3)
+fractions = st.floats(0.02, 0.98)
+
+
+def moved(base, s=1.0, t=0.0):
+    return canonicalize((s * v + t, w) for v, w in base.atoms)
+
+
+def spec_of(parts, s=1.0, t=0.0):
+    return SumSpec(DPSpec(alpha, moved(base, s, t)) for alpha, base in parts)
+
+
+def size(parts):
+    """Payoff magnitude of a sum, the scale of its rounding errors."""
+    return sum(1.0 + max(abs(base.v_min), abs(base.v_max)) for _, base in parts)
+
+
+def level(parts, frac):
+    """A tail level between the sums of the means and of the maxima."""
+    lo = sum(base.mean for _, base in parts)
+    hi = sum(base.v_max for _, base in parts)
+    return lo + frac * (hi - lo)
+
+
+@example(base=BER_HALF, s=1e-12, t=0.0, budget=0.3)
+@given(measures(), scales, shifts, st.floats(0.001, 20.0))
+def test_kinf_inverse_equivariant(base, s, t, budget):
+    want = kinf_inverse(base, budget)
+    tol = REL * size([(1.0, base)])
+    assert abs(kinf_inverse(moved(base, s=s), budget) / s - want) <= tol
+    assert abs(kinf_inverse(moved(base, t=t), budget) - t - want) <= tol
+
+
+@example(parts=[(4.0, BER_HALF)] * 2, s=1e-12, t=0.0, delta=math.exp(-2.0))
+@given(components, scales, shifts, st.floats(1e-6, 0.9))
+def test_region_radius_equivariant(parts, s, t, delta):
+    want = region_radius(spec_of(parts), delta).radius
+    tol = REL * size(parts)
+    assert abs(region_radius(spec_of(parts, s=s), delta).radius / s - want) <= tol
+    shifted = region_radius(spec_of(parts, t=t), delta).radius
+    assert abs(shifted - len(parts) * t - want) <= tol
+
+
+@example(parts=[(5.0, BER_HALF)] * 2, s=1e-12, t=0.0, frac=0.4)
+@given(components, scales, shifts, fractions)
+def test_sum_tail_equivariant(parts, s, t, frac):
+    # with every component a point mass the level sits on both ends at once
+    assume(any(base.v_max > base.mean for _, base in parts))
+    u = level(parts, frac)
+    want = sum_tail_bound(spec_of(parts), u)
+    assert abs(sum_tail_bound(spec_of(parts, s=s), s * u) - want) <= REL
+    assert abs(sum_tail_bound(spec_of(parts, t=t), u + len(parts) * t) - want) <= REL
+
+
+@given(components, st.floats(1e-6, 0.9), st.floats(1e-6, 0.9))
+def test_radius_between_means_and_maxima_and_monotone(parts, d1, d2):
+    spec = spec_of(parts)
+    tol = REL * size(parts)
+    loose, tight = region_radius(spec, max(d1, d2)), region_radius(spec, min(d1, d2))
+    assert sum(base.mean for _, base in parts) - tol <= loose.radius
+    assert loose.radius <= tight.radius + tol
+    assert tight.radius <= sum(base.v_max for _, base in parts) + tol
+
+
+@given(components, fractions, fractions)
+def test_tail_in_unit_interval_and_monotone(parts, f1, f2):
+    spec = spec_of(parts)
+    low, high = sum_tail_bound(spec, level(parts, min(f1, f2))), sum_tail_bound(
+        spec, level(parts, max(f1, f2))
+    )
+    assert 0.0 <= high <= low + 1e-12
+    assert low <= 1.0

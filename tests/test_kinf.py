@@ -193,6 +193,13 @@ class TestKinfInverse:
     def test_huge_budget_approaches_top(self):
         assert kinf_inverse(BER_HALF, 1e6) == pytest.approx(1.0, abs=1e-9)
 
+    def test_small_budget_to_relative_accuracy(self):
+        # kl(1/2, 1/2 + e) = 2 e^2 + O(e^4): the index sits sqrt(budget / 2) above the mean
+        budget = 1e-16
+        assert kinf_inverse(BER_HALF, budget) - 0.5 == pytest.approx(
+            math.sqrt(budget / 2.0), rel=1e-6
+        )
+
     def test_point_mass_hits_top_exactly(self):
         base = canonicalize([(0.25, 1.0)])
         assert kinf_inverse(base, 0.1) == 0.25
