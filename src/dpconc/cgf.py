@@ -18,10 +18,9 @@ when the base has no mass at v_max, and then the leftover weight
 1 - sum_i alpha p_i / (v_max - v_i) sits at the ambient maximizer.
 
 The secular equation is solved for the scale-free ratio r = (c - v_max) / alpha
-in [top mass, 1] (see ``_conjugate``), with ``_root``, the one safeguarded
-Newton root finder behind every bound of the package: the sum regions and
-tails of ``dpconc.sums`` and the KL-UCB index ``kinf_inverse`` are outer
-roots over the same kernel.
+in [top mass, 1] (see ``_conjugate``) by ``_root``, a safeguarded Newton
+root finder.  The sum regions and tails of ``dpconc.sums`` and the KL-UCB
+index ``kinf_inverse`` are outer roots of the same finder over this kernel.
 
 Also here: the Gamma-process log-MGF, the single-process Chernoff tail,
 and the closed-form bound for Beta random variables.

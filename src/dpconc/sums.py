@@ -35,6 +35,9 @@ from .measures import DPSpec, WeightedValues
 
 __all__ = ["SumSpec", "RegionResult", "region_radius", "sum_tail_bound", "optimal_split"]
 
+# absolute step tolerance of the outer roots in log lam: a relative step of lam
+_TAU_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class SumSpec:
@@ -59,7 +62,9 @@ class RegionResult:
     ``witnesses`` are per-component optimizing measures; ``unconstrained``
     marks the degenerate outer multiplier lam = 0, where the budget
     exceeds every finite divergence and the radius is the sum of the
-    maximal payoff values.
+    maximal payoff values.  ``lambda_star`` can also round to 0 without
+    that, when tiny concentrations leave a multiplier below the smallest
+    float.
     """
 
     radius: float
@@ -97,10 +102,6 @@ class _Outer:
             self.sols[j] = sol = _conjugate(top, terms, ell, prev[0] if prev else 1.0)
             out.append((self.comps[j][0], math.exp(ell), sol))
         return out
-
-
-# a step of log lam is a relative step of lam
-_TAU_TOL = 1e-13
 
 
 def _region(comps, budget: float) -> tuple[float, float, _Outer]:
