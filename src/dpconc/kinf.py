@@ -25,7 +25,9 @@ from .measures import WeightedValues
 
 __all__ = ["KinfResult", "kinf", "kinf_slope", "kinf_inverse"]
 
-_LAMBDA_TOL = 1e-12
+# relative stop: lambda scales as 1 / payoff, so an absolute one would make
+# the result depend on the payoff scale
+_LAMBDA_RTOL = 1e-12
 _MAX_ITER = 200
 
 
@@ -81,7 +83,7 @@ def kinf(base: WeightedValues, u: float) -> KinfResult:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= _LAMBDA_TOL:
+            if hi - lo <= _LAMBDA_RTOL * hi:
                 break
         lam = 0.5 * (lo + hi)
         at_boundary = False

@@ -3,13 +3,17 @@
 Two sampling routes target the same law and cross-validate each other:
 finite-support exact sampling (Dirichlet weights over the positive
 atoms, i.e. normalized Gamma draws) and the stick-breaking construction
-truncated at a residual tolerance.  The moment oracles -- the
-nested-set product formula, the split polynomials Q_k / R_k, and the
-concave two-term maximum -- are closed-form and validate every bound in
-the package against simulation.
+truncated at a residual tolerance.  Stick-breaking draws its fractions
+in whole chunks and its atoms in one call, with the same truncation rule
+as breaking one stick at a time.  The moment oracles -- the nested-set
+product formula, the split polynomials Q_k / R_k, and the concave
+two-term maximum -- are closed-form and validate every bound in the
+package against simulation.
 
 All sampling takes an explicit numpy Generator; equal seeds give
-bit-identical output.
+bit-identical output.  Earlier versions of stick-breaking drew an atom
+and a fraction per stick, so a seed now gives other stick-breaking
+draws than it did there.
 """
 
 from __future__ import annotations
@@ -75,25 +79,32 @@ def sample_stick_breaking(
 ) -> DPSample:
     """Draw one realization by breaking sticks until the leftover is small.
 
-    Atom locations come iid from the base, stick fractions from
-    Beta(1, alpha); once the unassigned mass drops below
-    ``residual_tol`` it is handed to one extra base draw, so weights
-    always sum to 1.
+    Stick fractions come from Beta(1, alpha), drawn in chunks of about the
+    expected stick count alpha log(1/residual_tol); the leftovers are their
+    running product, the same left-to-right product as breaking one stick
+    at a time.  Sticks are broken while the leftover is at least
+    ``residual_tol``; the final leftover is handed to one extra atom, so
+    weights always sum to 1.  Atom locations come iid from the base, all
+    in one draw after the fractions.  Equal seeds give bit-identical
+    draws, but not the draws of earlier versions, which took an atom and
+    a fraction per stick.
     """
     if not (0.0 < residual_tol < 1.0):
         raise ValueError("residual_tol must be in (0,1)")
     v, p = dp.base.positive()
-    values, weights = [], []
+    chunk = int(dp.alpha * math.log(1.0 / residual_tol)) + 8
+    weights = []
     remaining = 1.0
     while remaining >= residual_tol:
-        omega = rng.choice(v, p=p)
-        frac = rng.beta(1.0, dp.alpha)
-        values.append(float(omega))
-        weights.append(frac * remaining)
-        remaining *= 1.0 - frac
-    values.append(float(rng.choice(v, p=p)))
-    weights.append(remaining)
-    return DPSample(np.asarray(values), np.asarray(weights))
+        frac = rng.beta(1.0, dp.alpha, size=chunk)
+        left = np.cumprod(np.concatenate(([remaining], 1.0 - frac)))
+        # left[0] = remaining, so 0 means no leftover in this chunk is small
+        n = int(np.argmax(left < residual_tol)) or chunk
+        weights.append(frac[:n] * left[:n])
+        remaining = float(left[n])
+    weights.append([remaining])
+    w = np.concatenate(weights)
+    return DPSample(rng.choice(v, size=w.size, p=p), w)
 
 
 def moment_nested(dp: DPSpec, nu0_of_sets) -> float:
@@ -114,25 +125,6 @@ def moment_nested(dp: DPSpec, nu0_of_sets) -> float:
     return float(np.prod((dp.alpha * a + ell0) / (dp.alpha + ell0)))
 
 
-def _nested_products_all_subsets(conc: float, a: np.ndarray, k: int) -> np.ndarray:
-    """E[prod_{l in S} X(A_l)] for every S subset [k], indexed by bitmask.
-
-    Within a subset, the l-th smallest member contributes factor
-    (conc * a_l + rank - 1) / (conc + rank - 1) where rank counts its
-    position inside the subset.
-    """
-    masks = np.arange(1 << k, dtype=np.int64)
-    pop = np.zeros(1 << k, dtype=np.int64)
-    for b in range(k):
-        pop += (masks >> b) & 1
-    t = np.ones(1 << k, dtype=float)
-    for b in range(k):
-        sel = ((masks >> b) & 1) == 1
-        rank_below = pop[masks[sel] & ((1 << b) - 1)].astype(float)
-        t[sel] *= (conc * a[b] + rank_below) / (conc + rank_below)
-    return t
-
-
 def qk_rk(alpha: float, beta: float, nu0_of_sets, k: int) -> tuple[float, float]:
     """Exact subset-split moments Q_k and R_k over nested sets.
 
@@ -151,14 +143,18 @@ def qk_rk(alpha: float, beta: float, nu0_of_sets, k: int) -> tuple[float, float]
     if np.any(a < 0) or np.any(a > 1):
         raise ValueError("set masses must lie in [0,1]")
 
-    masks = np.arange(1 << k, dtype=np.int64)
-    pop = np.zeros(1 << k, dtype=np.int64)
-    for b in range(k):
-        pop += (masks >> b) & 1
-    t_a = _nested_products_all_subsets(alpha, a, k)
-    t_b = _nested_products_all_subsets(beta, a, k)
-    full = (1 << k) - 1
-    q = float(np.sum(alpha**pop * beta ** (k - pop) * t_a * t_b[full ^ masks]))
+    # Row j of t holds E[prod_{l in S} X(A_l)] at concentration conc[j] for
+    # every subset S, indexed by bitmask; pop is |S|.  Appending set b
+    # doubles both: a set joining S multiplies by
+    # (conc a_b + |S|) / (conc + |S|), since it is the largest in S.
+    conc = np.array([[alpha], [beta]])
+    t = np.ones((2, 1))
+    pop = np.zeros(1)
+    for a_b in a:
+        t = np.concatenate((t, t * ((conc * a_b + pop) / (conc + pop))), axis=1)
+        pop = np.concatenate((pop, pop + 1.0))
+    # set b is bit b, so the complement of every mask reverses the order
+    q = float(np.sum(alpha**pop * beta ** (k - pop) * t[0] * t[1, ::-1]))
 
     ell0 = np.arange(k, dtype=float)
     r = float(

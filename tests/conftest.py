@@ -1,8 +1,7 @@
 import hypothesis
-import numpy as np
 from hypothesis import strategies as st
 
-from dpconc.measures import WeightedValues, canonicalize
+from dpconc.measures import canonicalize
 
 hypothesis.settings.register_profile(
     "solver", deadline=None, max_examples=40, derandomize=True
@@ -29,16 +28,3 @@ def measures(draw, min_atoms: int = 1, max_atoms: int = 8):
     )
     return canonicalize(pairs)
 
-
-def random_measure(
-    rng: np.random.Generator, n_atoms: int, ambient_prob: float = 0.3
-) -> WeightedValues:
-    """Random canonical measure on [0,1] with separated atoms."""
-    while True:
-        vals = np.sort(rng.uniform(0.0, 1.0, n_atoms))
-        if n_atoms == 1 or np.min(np.diff(vals)) > 1e-3:
-            break
-    w = rng.dirichlet(np.ones(n_atoms))
-    if n_atoms > 1 and rng.random() < ambient_prob:
-        w[rng.integers(n_atoms)] = 0.0
-    return canonicalize(zip(vals, w))

@@ -1,9 +1,11 @@
 """Brute-force oracles shared by the unit and acceptance tests.
 
-These deliberately avoid the library's dual solvers: they grid the
-primal problem directly so agreement is evidence, not tautology.
+These deliberately avoid the library's dual solvers and recursions:
+they grid the primal problem or enumerate every case directly, so
+agreement is evidence, not tautology.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -57,3 +59,23 @@ def bootstrap_mean_ci(values, n_boot=10_000, level=0.95, seed=0):
     means = values[idx].mean(axis=1)
     tail = (1.0 - level) / 2.0
     return float(np.quantile(means, tail)), float(np.quantile(means, 1.0 - tail))
+
+
+def qk_enumerate(alpha, beta, masses):
+    """Split moment Q_k by enumerating the 2^k assignments of the sets.
+
+    Each set goes to the process of concentration alpha or beta and
+    carries that concentration as a factor; within a process, the l-th
+    smallest of its sets contributes (c a_l + l - 1) / (c + l - 1), the
+    nested-set moment of a single Dirichlet process.
+    """
+    a = sorted(masses)
+    total = 0.0
+    for sides in itertools.product((0, 1), repeat=len(a)):
+        term = 1.0
+        for which, c in enumerate((alpha, beta)):
+            mine = [m for m, side in zip(a, sides) if side == which]
+            for rank, m in enumerate(mine):
+                term *= c * (c * m + rank) / (c + rank)
+        total += term
+    return total

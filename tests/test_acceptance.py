@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import random_measure
 from oracles import bootstrap_mean_ci, kinf_grid_three_atoms, kinf_grid_two_atoms
 from dpconc.bandit import BanditInstance, lower_bound_constant, run_experiment
 from dpconc.cgf import beta_cgf_bound, cgf_bound, cgf_bound_scaled, tail_bound_single
@@ -27,7 +26,7 @@ from dpconc.sampler import (
     sample_stick_breaking,
 )
 from dpconc.sums import SumSpec, region_radius, sum_tail_bound
-from dpconc.verify import chernoff_minimum_gamma, min_scaled_conjugate
+from dpconc.verify import chernoff_minimum_gamma, min_scaled_conjugate, random_measure
 
 BER_HALF = canonicalize([(0.0, 0.5), (1.0, 0.5)])
 

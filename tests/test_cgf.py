@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_measure
 from dpconc.cgf import (
     beta_cgf_bound,
     cgf_bound,
@@ -15,7 +14,7 @@ from dpconc.cgf import (
 )
 from dpconc.kinf import kinf
 from dpconc.measures import DPSpec, canonicalize, kl_bernoulli, kl_discrete
-from dpconc.verify import chernoff_minimum_gamma, min_scaled_conjugate
+from dpconc.verify import chernoff_minimum_gamma, min_scaled_conjugate, random_measure
 
 BER_HALF = canonicalize([(0.0, 0.5), (1.0, 0.5)])
 

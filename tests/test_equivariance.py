@@ -1,9 +1,12 @@
-"""Scale and shift equivariance, monotonicity and range of the outer bounds.
+"""Scale and shift equivariance, monotonicity and range of the bounds.
 
 Shifting the payoffs of a component by t shifts the KL-UCB index, the
 region radius and the tail level by t; scaling every payoff by s > 0
-scales them by s.  The solvers work in scale-free variables, so these
-hold to rounding at any payoff scale, down to s = 1e-12.
+scales them by s.  The half-space projection moves with its level: its
+value and the single-component tail bound stay put, and its slope
+scales by 1/s.  The solvers work in scale-free variables or stop on a
+relative bracket, so these hold to rounding at any payoff scale, from
+s = 1e-12 to s = 1e9.
 """
 
 import math
@@ -12,7 +15,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import measures
-from dpconc.kinf import kinf_inverse
+from dpconc.cgf import tail_bound_single
+from dpconc.kinf import kinf, kinf_inverse, kinf_slope
 from dpconc.measures import DPSpec, canonicalize
 from dpconc.sums import SumSpec, region_radius, sum_tail_bound
 
@@ -74,6 +78,39 @@ def test_sum_tail_equivariant(parts, s, t, frac):
     want = sum_tail_bound(spec_of(parts), u)
     assert abs(sum_tail_bound(spec_of(parts, s=s), s * u) - want) <= REL
     assert abs(sum_tail_bound(spec_of(parts, t=t), u + len(parts) * t) - want) <= REL
+
+
+@example(base=BER_HALF, s=1e9, t=0.0, frac=0.5)
+@example(base=BER_HALF, s=1e-12, t=0.0, frac=0.5)
+@given(measures(), scales, shifts, fractions)
+def test_kinf_equivariant(base, s, t, frac):
+    assume(base.v_max > base.mean)
+    u = level([(1.0, base)], frac)
+    want = kinf(base, u).value
+    assert abs(kinf(moved(base, s=s), s * u).value - want) <= REL
+    assert abs(kinf(moved(base, t=t), u + t).value - want) <= REL
+
+
+@example(base=BER_HALF, s=1e9, t=0.0, frac=0.5)
+@example(base=BER_HALF, s=1e6, t=0.0, frac=0.5)
+@given(measures(), scales, shifts, fractions)
+def test_kinf_slope_equivariant(base, s, t, frac):
+    assume(base.v_max > base.mean)
+    u = level([(1.0, base)], frac)
+    want = kinf_slope(base, u)
+    assert abs(kinf_slope(moved(base, s=s), s * u) * s - want) <= REL * want
+    assert abs(kinf_slope(moved(base, t=t), u + t) - want) <= REL * want
+
+
+@example(alpha=1.0, base=BER_HALF, s=1e9, t=0.0, frac=0.5)
+@given(alphas, measures(), scales, shifts, fractions)
+def test_tail_bound_single_equivariant(alpha, base, s, t, frac):
+    assume(base.v_max > base.mean)
+    u = level([(1.0, base)], frac)
+    want = tail_bound_single(DPSpec(alpha, base), u)
+    assert abs(tail_bound_single(DPSpec(alpha, moved(base, s=s)), s * u) - want) <= REL
+    shifted = tail_bound_single(DPSpec(alpha, moved(base, t=t)), u + t)
+    assert abs(shifted - want) <= REL
 
 
 @given(components, st.floats(1e-6, 0.9), st.floats(1e-6, 0.9))

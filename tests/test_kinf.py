@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from scipy import optimize
 
-from conftest import measures, random_measure
+from conftest import measures
 from oracles import kinf_grid_three_atoms, kinf_grid_two_atoms
 from dpconc.cgf import cgf_bound
 from dpconc.kinf import kinf, kinf_inverse, kinf_slope
 from dpconc.measures import DPSpec, canonicalize, kl_bernoulli
+from dpconc.verify import random_measure
 
 BER_HALF = canonicalize([(0.0, 0.5), (1.0, 0.5)])
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from oracles import qk_enumerate
 from dpconc.measures import DPSpec, canonicalize
 from dpconc.sampler import (
     concave_split_max,
@@ -114,6 +115,26 @@ class TestStickBreaking:
         ks = stats.ks_2samp(exact, stick)
         assert ks.pvalue > 0.01
 
+    def test_truncation_structure(self):
+        # at alpha = 1, tol = 1e-6 a chunk holds int(log(1e6)) + 8 = 21
+        # fractions; the expected stick count is log(1e6) = 13.8, so a few
+        # draws in 500 need a second chunk
+        dp = DPSpec(1.0, BER_HALF)
+        tol = 1e-6
+        rng = np.random.default_rng(13)
+        sticks = []
+        for _ in range(500):
+            s = sample_stick_breaking(dp, rng, tol)
+            w = s.weights
+            # the leftover before stick i is the mass of sticks i, i+1, ...
+            leftover = np.cumsum(w[::-1])[::-1]
+            assert np.all(leftover[:-1] >= tol * (1.0 - 1e-9))
+            assert w[-1] < tol
+            assert w.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(np.isin(s.values, [0.0, 1.0]))
+            sticks.append(w.size - 1)
+        assert max(sticks) > 21
+
     def test_deterministic_given_seed(self):
         dp = DPSpec(2.0, BER_HALF)
         a = sample_stick_breaking(dp, np.random.default_rng(8), 1e-6)
@@ -190,6 +211,19 @@ class TestQkRk:
         k = len(masses)
         q, r = qk_rk(alpha, beta, masses, k)
         assert q <= r * (1 + 1e-12) + 1e-300
+
+    @given(
+        st.floats(0.1, 10.0),
+        st.floats(0.1, 10.0),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10),
+    )
+    def test_matches_enumerated_assignments(self, alpha, beta, masses):
+        k = len(masses)
+        q, r = qk_rk(alpha, beta, masses, k)
+        assert q == pytest.approx(qk_enumerate(alpha, beta, masses), rel=1e-12)
+        ab = alpha + beta
+        merged = ab**k * moment_nested(DPSpec(ab, BER_HALF), sorted(masses))
+        assert r == pytest.approx(merged, rel=1e-12)
 
     def test_stepwise_recursion_bound(self):
         rng = np.random.default_rng(8)

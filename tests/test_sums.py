@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_measure
 from dpconc.cgf import tail_bound_single
 from dpconc.kinf import kinf, kinf_inverse
 from dpconc.measures import DPSpec, canonicalize, kl_discrete
 from dpconc.sums import SumSpec, optimal_split, region_radius, sum_tail_bound
+from dpconc.verify import random_measure
 
 BER_HALF = canonicalize([(0.0, 0.5), (1.0, 0.5)])
 
