@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinf import kinf_inverse
-from .measures import DPSpec, canonicalize
+from .measures import DPSpec, canonicalize, kl_bernoulli
 from .sums import SumSpec, region_radius
 
 __all__ = [
@@ -165,8 +165,6 @@ def lower_bound_constant(instance: BanditInstance) -> float:
     sum over suboptimal blocks j of (p_1 - p_j) / kl(p_j, p_1); requires
     the best mean to be strictly maximal.
     """
-    from .measures import kl_bernoulli
-
     p = instance.block_means
     if any(q == p[0] for q in p[1:]):
         raise ValueError("the best block mean must be unique")

@@ -19,8 +19,9 @@ when the base has no mass at v_max, and then the leftover weight
 
 The secular equation is solved for the scale-free ratio r = (c - v_max) / alpha
 in [top mass, 1] (see ``_conjugate``) by ``_root``, a safeguarded Newton
-root finder.  The sum regions and tails of ``dpconc.sums`` and the KL-UCB
-index ``kinf_inverse`` are outer roots of the same finder over this kernel.
+root finder.  The sum regions and tails of ``dpconc.sums``, the half-space
+projection ``kinf``, its inverse ``kinf_inverse`` (the KL-UCB index) and
+``tail_bound_single`` are outer roots of the same finder over this kernel.
 
 Also here: the Gamma-process log-MGF, the single-process Chernoff tail,
 and the closed-form bound for Beta random variables.
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinf import kinf
 from .measures import DPSpec, WeightedValues, kl_bernoulli
 
 __all__ = [
@@ -122,13 +122,16 @@ def _conjugate(top: float, terms, ell: float, r: float = 1.0):
     the derivative of that KL in ell.  The conjugate itself is
     v_max - kappa * (gap + KL).
     """
-    pu = [(p, math.exp(ell - lg)) for p, lg in terms]
-    if top > 0.0 or sum(p * u for p, u in pu) > 1.0:
+    # u_i = a_i / b_i with the larger of the two equal to 1: where u_i > 1,
+    # 1 / u_i is carried instead, which can only underflow (harmlessly)
+    pu = [(p, 1.0, math.exp(lg - ell)) if ell > lg else (p, math.exp(ell - lg), 1.0)
+          for p, lg in terms]
+    if top > 0.0 or sum(p * a / b if b > 0.0 else math.inf for p, a, b in pu) > 1.0:
 
         def excess(r_):
             s0 = s1 = 0.0
-            for p, u in pu:
-                t = u / (1.0 + r_ * u)
+            for p, a, b in pu:
+                t = a / (b + r_ * a)
                 s0 += p * t
                 s1 += p * t * t
             return r_ * (1.0 - s0) - top, 1.0 - s0 + r_ * s1
@@ -139,18 +142,20 @@ def _conjugate(top: float, terms, ell: float, r: float = 1.0):
         r = 0.0
     q = []
     gap = curv = tilt = 0.0
-    for p, u in pu:
-        d = 1.0 / (1.0 + r * u)
-        q.append(p * u * d)
+    for p, a, b in pu:
+        # t = u_i / (1 + r u_i) and d = 1 / (1 + r u_i)
+        inv = 1.0 / (b + r * a)
+        t, d = a * inv, b * inv
+        q.append(p * t)
         gap += p * d
-        curv += p * (u * d) ** 2
-        tilt += p * u * d * d
+        curv += p * t * t
+        tilt += p * t * d
     # gap = 1 - r at the root, to full relative accuracy even where r
     # rounds to 1 (large kappa), so it stands in for 1 - r below
     kl = top * math.log1p(-gap) if top > 0.0 else 0.0
-    for (p, u), (_, lg) in zip(pu, terms):
+    for (p, a, b), (_, lg) in zip(pu, terms):
         # log(r + 1/u) without cancellation on either side of u = 1
-        kl += p * (math.log1p(1.0 / u - gap) if u > 1.0 else math.log1p(r * u) + lg - ell)
+        kl += p * (math.log1p(b - gap) if b < 1.0 else math.log1p(r * a) + lg - ell)
     # dr/dell from the secular equation; 0 on the boundary branch
     dr = tilt / (curv + top / (r * r)) if r > 0.0 else 0.0
     return r, q, gap, kl, dr - gap
@@ -208,7 +213,14 @@ def gamma_log_mgf(dp: DPSpec) -> float:
 
 
 def tail_bound_single(dp: DPSpec, u: float) -> float:
-    """Chernoff tail bound exp(-alpha * kinf(base, u)) in [0, 1]."""
+    """Chernoff tail bound exp(-alpha * kinf(base, u)) in [0, 1].
+
+    The exponent of the one-component sum tail scales with alpha, so it is
+    alpha times the tail at concentration 1, which is ``kinf``; solving at 1
+    keeps the multiplier, alpha times kinf's slope, within range.
+    """
+    from .kinf import kinf  # kinf builds on dpconc.sums, which builds on this module
+
     k = kinf(dp.base, u).value
     if math.isinf(k):
         return 0.0

@@ -2,16 +2,19 @@
 
 For a base measure nu with payoff atoms (v_i, p_i) and a level u,
 
-    kinf(nu, u) = inf { KL(nu || mu) : mu supported on the atoms, E_mu[v] >= u },
+    kinf(nu, u) = inf { KL(nu || mu) : mu supported on the atoms, E_mu[v] >= u }
+                = sup_{lam >= 0} lam u - B(1, lam v),
 
-computed through its concave 1-D dual
-
-    kinf(nu, u) = max_{lam in [0, 1/(v_max - u)]} sum_i p_i log(1 - lam (v_i - u)).
-
-The dual derivative is strictly decreasing in lam, so bisection on it is
-robust even when mass at v_max drives the derivative to -inf at the
-right endpoint.  The endpoint lam = 1/(v_max - u) is attainable only
-when the base puts no mass at v_max.
+the Legendre transform of the conjugate B of :mod:`dpconc.cgf` at
+concentration 1: the Chernoff exponent of the one-component sum tail of
+:mod:`dpconc.sums`, solved as one root over the shared conjugate kernel.
+With c = u + 1/lam, the stationarity condition of the classical dual
+max_lam sum_i p_i log(1 - lam (v_i - u)) is the conjugate's secular
+equation (c - u) sum_i p_i / (c - v_i) = 1 at concentration 1/lam, so
+the tail's multiplier is the optimal dual multiplier.  The endpoint
+lam = 1/(v_max - u) is attained, on the conjugate's boundary branch,
+only when the base puts no mass at v_max.  The KL-UCB index
+``kinf_inverse`` is the one-component region at concentration 1.
 """
 
 from __future__ import annotations
@@ -22,13 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import WeightedValues
+from .sums import _region, _tail
 
 __all__ = ["KinfResult", "kinf", "kinf_slope", "kinf_inverse"]
-
-# relative stop: lambda scales as 1 / payoff, so an absolute one would make
-# the result depend on the payoff scale
-_LAMBDA_RTOL = 1e-12
-_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -63,34 +62,11 @@ def kinf(base: WeightedValues, u: float) -> KinfResult:
             return KinfResult(0.0, 0.0, False, 1.0)
         return KinfResult(math.inf, 0.0, False, 1.0)
 
+    value, _, lam, outer = _tail([(1.0, base)], u)
     v, p = base.positive()
-    lam_max = 1.0 / (vmax - u)
-    # scalar arithmetic: these bisections sit inside the sum solvers' own
-    # bisections, where numpy overhead on tiny atom sets dominates
-    terms = [(float(pi), u - float(vi)) for pi, vi in zip(p, v)]
-
-    def dphi(lam: float) -> float:
-        return sum(pi * di / (1.0 + lam * di) for pi, di in terms)
-
-    if base.mass_at_max == 0.0 and dphi(lam_max) >= 0.0:
-        lam = lam_max
-        at_boundary = True
-    else:
-        lo, hi = 0.0, lam_max
-        for _ in range(_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            if dphi(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= _LAMBDA_RTOL * hi:
-                break
-        lam = 0.5 * (lo + hi)
-        at_boundary = False
-
-    value = sum(pi * math.log1p(lam * di) for pi, di in terms)
-    diagnostic = sum(pi / (1.0 + lam * di) for pi, di in terms)
-    return KinfResult(max(value, 0.0), lam, at_boundary, diagnostic)
+    diagnostic = float(np.sum(p / (1.0 + lam * (u - v))))
+    # r = 0: the conjugate sits on its boundary branch, lam = 1/(v_max - u)
+    return KinfResult(value, lam, outer.sols[0][0] == 0.0, diagnostic)
 
 
 def kinf_slope(base: WeightedValues, u: float) -> float:
@@ -112,8 +88,6 @@ def kinf_inverse(base: WeightedValues, budget: float) -> float:
     through the conjugate's secular equation; returns v_max when even the
     supremum of the divergence stays within budget (point-mass bases).
     """
-    from .sums import _region  # sums builds on this module
-
     if not budget >= 0:
         raise ValueError("budget must be nonnegative")
     if budget == 0.0:

@@ -163,15 +163,16 @@ def region_radius(spec: SumSpec, delta: float) -> RegionResult:
 # -- tail bound over an additive split ------------------------------------
 
 
-def _tail(spec: SumSpec, u: float) -> tuple[float, list[float]]:
-    """Chernoff exponent I(u) and the optimal split, for means < u < maxima.
+def _tail(comps, u: float) -> tuple[float, list[float], float, _Outer]:
+    """Chernoff exponent I(u), the optimal split, the multiplier and the
+    solved components, for means < u < maxima.
 
-    Component j's conjugate at payoff lam v_j has concentration
-    alpha_j / lam.  The root is taken in tau = log lam on
-    log((tops - u) / deficit), where tops is the sum of maxima and the
-    deficit sum_j (v_max_j - E_{q_j}[v_j]) falls like exp(-tau) for large lam.
+    ``comps`` holds (alpha, base) pairs.  Component j's conjugate at
+    payoff lam v_j has concentration alpha_j / lam.  The root is taken in
+    tau = log lam on log((tops - u) / deficit), where tops is the sum of
+    maxima and the deficit sum_j (v_max_j - E_{q_j}[v_j]) falls like
+    exp(-tau) for large lam.
     """
-    comps = [(c.alpha, c.base) for c in spec.components]
     outer = _Outer(comps)
     tops = sum(base.v_max for _, base in comps)
     means = sum(base.mean for _, base in comps)
@@ -187,13 +188,15 @@ def _tail(spec: SumSpec, u: float) -> tuple[float, list[float]]:
 
     # Pinsker bounds each witness mean by mean_j + lam spread_j^2 / (2 alpha_j),
     # and q_i <= alpha_j p_i / (lam gap_i) bounds it below by
-    # v_max_j - alpha_j (1 - top_j) / lam
+    # v_max_j - alpha_j (1 - top_j) / lam; the spreads are taken relative to
+    # the widest, so that their squares neither overflow nor underflow
+    widest = max(comps[j][1].v_max - comps[j][1].v_min for j in outer.live)
     spread = below = 0.0
     for j in outer.live:
         alpha, base = comps[j]
-        spread += (base.v_max - base.v_min) ** 2 / (2.0 * alpha)
+        spread += ((base.v_max - base.v_min) / widest) ** 2 / (2.0 * alpha)
         below += alpha * (1.0 - outer.atoms[j][0])
-    lo = math.log((u - means) / spread)
+    lo = math.log((u - means) / widest) - math.log(widest * spread)
     hi = max(math.log(below / (tops - u)), lo)
     tau = _root(excess, lo, hi, hi, atol=_TAU_TOL)
     lam = math.exp(tau)
@@ -202,7 +205,7 @@ def _tail(spec: SumSpec, u: float) -> tuple[float, list[float]]:
     for j, (alpha, kappa, (_, _, gap, kl, _)) in zip(outer.live, outer.solve(-tau)):
         exponent += alpha * (gap + kl)
         split[j] -= kappa * gap
-    return max(exponent, 0.0), split
+    return max(exponent, 0.0), split, lam, outer
 
 
 def optimal_split(spec: SumSpec, u: float) -> list[float]:
@@ -219,7 +222,7 @@ def optimal_split(spec: SumSpec, u: float) -> list[float]:
         return means
     if u == sum(vmaxs):
         return vmaxs
-    return _tail(spec, u)[1]
+    return _tail([(c.alpha, c.base) for c in comps], u)[1]
 
 
 def sum_tail_bound(spec: SumSpec, u: float) -> float:
@@ -229,4 +232,4 @@ def sum_tail_bound(spec: SumSpec, u: float) -> float:
         return 1.0
     if u >= sum(c.base.v_max for c in comps):
         return 0.0
-    return min(1.0, math.exp(-_tail(spec, u)[0]))
+    return min(1.0, math.exp(-_tail([(c.alpha, c.base) for c in comps], u)[0]))

@@ -161,9 +161,17 @@ def suite_superadd(seed: int, samples: int = 500, kmax: int = 12, rel_tol: float
 
 
 def suite_moments(seed: int, samples: int = 100_000, configs: int = 20) -> dict:
-    """Closed-form nested moments vs simulation, and sampler agreement."""
+    """Closed-form nested moments vs simulation, and sampler agreement.
+
+    Each configuration must sit within z standard errors, with z the
+    Bonferroni bound that keeps the chance of a false alarm over all
+    configurations at that of a single 3-sigma check.
+    """
+    from statistics import NormalDist
+
     from scipy import stats  # the only scipy use in the package
 
+    z = NormalDist().inv_cdf(1.0 - 0.0027 / (2 * configs))
     rng = np.random.default_rng(seed)
     checks = []
     worst_sigma = math.inf
@@ -184,10 +192,10 @@ def suite_moments(seed: int, samples: int = 100_000, configs: int = 20) -> dict:
             prod *= w[:, :c].sum(axis=1)
         mc, se = float(prod.mean()), float(prod.std(ddof=1)) / math.sqrt(samples)
         # 1e-12 floor absorbs rounding noise on deterministic products
-        sigma_gap = 3.0 * se + 1e-12 - abs(mc - exact)
+        sigma_gap = z * se + 1e-12 - abs(mc - exact)
         worst_sigma = min(worst_sigma, sigma_gap)
         ok = ok and sigma_gap >= 0.0
-    checks.append(_check("nested_moments_within_3_sigma", ok, worst_sigma, configs=configs))
+    checks.append(_check("nested_moments_within_3_sigma", ok, worst_sigma, configs=configs, z=z))
 
     base = canonicalize([(0.0, 0.4), (0.5, 0.35), (1.0, 0.25)])
     dp = DPSpec(3.0, base)

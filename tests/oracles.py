@@ -79,3 +79,30 @@ def qk_enumerate(alpha, beta, masses):
                 term *= c * (c * m + rank) / (c + rank)
         total += term
     return total
+
+
+def exact_log_mgf(alpha, base):
+    """log E exp(E_X[f]) for X ~ DP(alpha * base), f the payoff, exactly.
+
+    Shift f so that f >= 0 on the support and set mu_j = E_base[f^j].
+    The coefficients h_0 = 1, h_n = (alpha / n) sum_{j <= n} mu_j h_{n-j}
+    of exp(alpha sum_j mu_j t^j / j) are the Chinese-restaurant sums over
+    partitions, and E exp(E_X[f]) = sum_n h_n / (alpha)_n, with (alpha)_n
+    the rising factorial.  The series is summed in g_n = h_n / (alpha)_n,
+    so that neither the factorials nor the powers overflow.  Its terms are
+    E[E_X[f]^n] / n! <= (e max f / n)^n, so N = ceil(e max f) + 60 terms
+    leave a remainder far below rounding for payoffs of moderate size.
+    """
+    values, weights = base.positive()
+    shift = float(values[0])
+    f = values - shift
+    n_terms = math.ceil(math.e * float(f[-1])) + 60
+    mu = [1.0] + [float(np.dot(weights, f**j)) for j in range(1, n_terms + 1)]
+    g = [1.0]
+    for n in range(1, n_terms + 1):
+        total, rising = 0.0, 1.0
+        for j in range(1, n + 1):
+            rising *= alpha + n - j  # (alpha)_n / (alpha)_{n-j}
+            total += mu[j] * g[n - j] / rising
+        g.append(alpha * total / n)
+    return shift + math.log(math.fsum(g))

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import hyp1f1
 
+from oracles import exact_log_mgf
 from dpconc.cgf import (
     beta_cgf_bound,
     cgf_bound,
@@ -48,6 +50,26 @@ class TestCgfBound:
         got = cgf_bound(DPSpec(1e9, BER_HALF)).value
         assert got - 0.5 == pytest.approx(0.25 / 2e9, rel=1e-4)
 
+    def test_huge_concentration_does_not_overflow(self):
+        # alpha / gap = 1e310 is past the largest float; B = mean + Var / (2 alpha) + ...
+        base = canonicalize([(0.0, 0.5), (1e-10, 0.5)])
+        got = cgf_bound(DPSpec(1e300, base)).value
+        assert math.isfinite(got)
+        assert got == pytest.approx(5e-11, rel=1e-12)
+
+    def test_c_star_is_top_eigenvalue(self):
+        # the secular equation sum_i alpha p_i / (c - v_i) = 1 is that of the
+        # top eigenvalue of diag(v) + alpha sqrt(p) sqrt(p)^T; on the boundary
+        # branch an ambient top atom contributes the eigenvalue v_max
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            base = random_measure(rng, int(rng.integers(1, 9)))
+            alpha = float(np.exp(rng.uniform(np.log(0.05), np.log(100.0))))
+            root_p = np.sqrt(base.weights)
+            matrix = np.diag(base.values) + alpha * np.outer(root_p, root_p)
+            top = float(np.linalg.eigvalsh(matrix)[-1])
+            assert cgf_bound(DPSpec(alpha, base)).c_star == pytest.approx(top, rel=1e-12)
+
     def test_value_at_least_mean(self):
         rng = np.random.default_rng(12)
         for _ in range(60):
@@ -82,6 +104,41 @@ class TestCgfBound:
         g = np.array([dual_objective(dp, c) for c in cs])
         second = g[2:] - 2 * g[1:-1] + g[:-2]
         assert np.all(second > 0)
+
+
+class TestExactLogMgf:
+    """The bound against the exact log-MGF of the Chinese-restaurant series."""
+
+    @pytest.mark.parametrize("alpha,p", [(0.05, 0.5), (0.5, 0.3), (1.0, 0.5), (4.0, 0.9), (10.0, 0.2)])
+    def test_oracle_matches_confluent_hypergeometric(self, alpha, p):
+        # E_X[f] ~ Beta(alpha p, alpha (1 - p)) on two atoms {0, 1}
+        base = canonicalize([(0.0, 1.0 - p), (1.0, p)])
+        want = math.log(hyp1f1(alpha * p, alpha, 1.0))
+        assert exact_log_mgf(alpha, base) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_bound_dominates_exact_log_mgf(self):
+        rng = np.random.default_rng(18)
+        for _ in range(100):
+            base = random_measure(rng, int(rng.integers(2, 8)))
+            if base.is_point_mass():
+                continue
+            alpha = float(np.exp(rng.uniform(np.log(0.05), np.log(10.0))))
+            assert cgf_bound(DPSpec(alpha, base)).value > exact_log_mgf(alpha, base)
+
+    @pytest.mark.parametrize("base", [BER_HALF, canonicalize([(0.0, 0.2), (0.3, 0.5), (1.0, 0.3)])])
+    def test_log_mgf_superadditive_in_concentration(self, base):
+        # the paper's lemma: a(alpha) = log E exp(E_X[alpha f]), X ~ DP(alpha nu),
+        # has a(x + y) >= a(x) + a(y)
+        cache = {}
+
+        def a(alpha):
+            if alpha not in cache:
+                scaled = canonicalize((alpha * v, w) for v, w in base.atoms)
+                cache[alpha] = exact_log_mgf(alpha, scaled)
+            return cache[alpha]
+
+        grid = np.geomspace(0.05, 10.0, 12).tolist()
+        assert min(a(x + y) - a(x) - a(y) for x in grid for y in grid) > 0.0
 
 
 class TestCgfBoundScaled:

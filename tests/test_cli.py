@@ -164,6 +164,15 @@ class TestErrorContract:
         assert code == 0
         assert json.loads(out)["radius"] == pytest.approx(2.0, rel=1e-12)
 
+    def test_huge_alpha_bound_succeeds(self, capsys, tmp_path):
+        # alpha / gap = 1e310 is past the largest float
+        measure = tmp_path / "measure.json"
+        atoms = [{"value": 0.0, "weight": 0.5}, {"value": 1e-10, "weight": 0.5}]
+        measure.write_text(json.dumps({"atoms": atoms}))
+        code, out, _ = run_cli(capsys, "bound", str(measure), "--alpha", "1e300")
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(5e-11, rel=1e-8)
+
 
 def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, dpconc.cli; print('scipy' in sys.modules)"

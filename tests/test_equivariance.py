@@ -1,12 +1,13 @@
 """Scale and shift equivariance, monotonicity and range of the bounds.
 
 Shifting the payoffs of a component by t shifts the KL-UCB index, the
-region radius and the tail level by t; scaling every payoff by s > 0
-scales them by s.  The half-space projection moves with its level: its
-value and the single-component tail bound stay put, and its slope
-scales by 1/s.  The solvers work in scale-free variables or stop on a
-relative bracket, so these hold to rounding at any payoff scale, from
-s = 1e-12 to s = 1e9.
+region radius, the conjugate bound and the tail level by t; scaling
+every payoff by s > 0 scales them by s (the conjugate bound with its
+concentration scaled by s too).  The half-space projection moves with
+its level: its value and the single-component tail bound stay put, and
+its slope scales by 1/s.  The solvers work in scale-free variables and
+stop on relative steps, so these hold to rounding at any payoff scale,
+from s = 1e-170 to s = 1e170.
 """
 
 import math
@@ -15,7 +16,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import measures
-from dpconc.cgf import tail_bound_single
+from dpconc.cgf import cgf_bound, tail_bound_single
 from dpconc.kinf import kinf, kinf_inverse, kinf_slope
 from dpconc.measures import DPSpec, canonicalize
 from dpconc.sums import SumSpec, region_radius, sum_tail_bound
@@ -70,6 +71,8 @@ def test_region_radius_equivariant(parts, s, t, delta):
 
 
 @example(parts=[(5.0, BER_HALF)] * 2, s=1e-12, t=0.0, frac=0.4)
+@example(parts=[(5.0, BER_HALF)] * 2, s=1e-170, t=0.0, frac=0.4)
+@example(parts=[(5.0, BER_HALF)] * 2, s=1e170, t=0.0, frac=0.4)
 @given(components, scales, shifts, fractions)
 def test_sum_tail_equivariant(parts, s, t, frac):
     # with every component a point mass the level sits on both ends at once
@@ -82,6 +85,8 @@ def test_sum_tail_equivariant(parts, s, t, frac):
 
 @example(base=BER_HALF, s=1e9, t=0.0, frac=0.5)
 @example(base=BER_HALF, s=1e-12, t=0.0, frac=0.5)
+@example(base=BER_HALF, s=1e-170, t=0.0, frac=0.5)
+@example(base=BER_HALF, s=1e170, t=0.0, frac=0.5)
 @given(measures(), scales, shifts, fractions)
 def test_kinf_equivariant(base, s, t, frac):
     assume(base.v_max > base.mean)
@@ -111,6 +116,22 @@ def test_tail_bound_single_equivariant(alpha, base, s, t, frac):
     assert abs(tail_bound_single(DPSpec(alpha, moved(base, s=s)), s * u) - want) <= REL
     shifted = tail_bound_single(DPSpec(alpha, moved(base, t=t)), u + t)
     assert abs(shifted - want) <= REL
+
+
+@example(alpha=1.0, base=BER_HALF, s=1e-12, t=0.0)
+@example(alpha=1.0, base=BER_HALF, s=1e6, t=0.0)
+@given(alphas, measures(), scales, shifts)
+def test_cgf_bound_equivariant(alpha, base, s, t):
+    want = cgf_bound(DPSpec(alpha, base)).value
+    tol = REL * size([(alpha, base)])
+    assert abs(cgf_bound(DPSpec(s * alpha, moved(base, s=s))).value / s - want) <= tol
+    assert abs(cgf_bound(DPSpec(alpha, moved(base, t=t))).value - t - want) <= tol
+
+
+@given(measures(), alphas, alphas)
+def test_cgf_bound_nonincreasing_in_alpha(base, a1, a2):
+    low, high = cgf_bound(DPSpec(min(a1, a2), base)), cgf_bound(DPSpec(max(a1, a2), base))
+    assert base.mean - REL * size([(1.0, base)]) <= high.value <= low.value
 
 
 @given(components, st.floats(1e-6, 0.9), st.floats(1e-6, 0.9))

@@ -34,3 +34,23 @@ def test_tolerance_override_wires_through():
     # an absurdly tight duality tolerance must flip the suite to failing
     report = run_suite("duality", seed=3, samples=10, tol=1e-18)
     assert not report["passed"]
+
+
+def test_moments_suite_passes_at_seed_101():
+    # the worst of the 20 configurations sits 3.44 standard errors out: a
+    # joint 3-sigma band fails here on correct code, the Bonferroni band holds
+    report = run_suite("moments", seed=101)
+    assert report["passed"], report
+    check = report["checks"][0]
+    assert check["name"] == "nested_moments_within_3_sigma"
+    assert check["z"] == pytest.approx(3.817, abs=1e-3)
+
+
+def test_moments_suite_detects_a_one_percent_bias(monkeypatch):
+    import dpconc.verify as verify
+
+    exact = verify.moment_nested
+    monkeypatch.setattr(verify, "moment_nested", lambda dp, masses: 1.01 * exact(dp, masses))
+    report = run_suite("moments", seed=789001361, samples=30_000)
+    assert not report["passed"]
+    assert not report["checks"][0]["passed"]
