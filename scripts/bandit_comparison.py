@@ -26,8 +26,7 @@ def main() -> None:
     ap.add_argument("--reps", type=int, default=20)
     ap.add_argument("--seed", type=int, default=789001361)
     ap.add_argument("--policies", nargs="+",
-                    default=["cts", "cucb", "oracle", "worst"],
-                    help="escb is exact but slow; add it for small T")
+                    default=["cts", "cucb", "escb", "oracle", "worst"])
     ap.add_argument("--out-dir", default=None)
     args = ap.parse_args()
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinf import kinf_inverse
-from .measures import DPSpec, canonicalize, kl_bernoulli
+from .measures import DPSpec, WeightedValues, kl_bernoulli
 from .sums import SumSpec, region_radius
 
 __all__ = [
@@ -123,9 +123,10 @@ def cts_step(instance: BanditInstance, state: PolicyState, rng: np.random.Genera
     return _block_argmax(instance, theta_plus)
 
 
-def _bernoulli_base(mean: float):
-    # ambient endpoints kept so the confidence solvers can push mass there
-    return canonicalize([(0.0, 1.0 - mean), (1.0, mean)])
+def _bernoulli_base(mean: float) -> WeightedValues:
+    # ambient endpoints kept so the confidence solvers can push mass there;
+    # sorted distinct values and weights summing to 1 within an ulp: canonical
+    return WeightedValues(np.array([0.0, 1.0]), np.array([1.0 - mean, mean]))
 
 
 def cucb_kl_step(instance: BanditInstance, state: PolicyState) -> int:

@@ -62,7 +62,8 @@ def kinf(base: WeightedValues, u: float) -> KinfResult:
             return KinfResult(0.0, 0.0, False, 1.0)
         return KinfResult(math.inf, 0.0, False, 1.0)
 
-    value, _, lam, outer = _tail([(1.0, base)], u)
+    value, _, tau, outer = _tail([(1.0, base)], u)
+    lam = math.exp(tau)
     v, p = base.positive()
     diagnostic = float(np.sum(p / (1.0 + lam * (u - v))))
     # r = 0: the conjugate sits on its boundary branch, lam = 1/(v_max - u)

@@ -130,33 +130,22 @@ def canonicalize(pairs) -> WeightedValues:
 
     Sorts by value, merges exact duplicates by adding their weights,
     renormalizes the total mass to 1, and keeps zero-weight atoms.
+    :class:`WeightedValues` checks the result.
     """
     pairs = list(pairs)
     if len(pairs) == 0:
         raise ValueError("empty atom list")
-    vals = np.asarray([p[0] for p in pairs], dtype=float)
-    wts = np.asarray([p[1] for p in pairs], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("values must be finite")
-    if np.any(wts < 0) or not np.all(np.isfinite(wts)):
-        raise ValueError("weights must be finite and nonnegative")
-    total = float(wts.sum())
-    if total <= 0:
-        raise ValueError("total weight must be positive")
-    order = np.argsort(vals, kind="stable")
-    vals, wts = vals[order], wts[order]
-    keep_v, keep_w = [vals[0]], [wts[0]]
-    for v, w in zip(vals[1:], wts[1:]):
-        if v == keep_v[-1]:
-            keep_w[-1] += w
-        else:
-            keep_v.append(v)
-            keep_w.append(w)
-    w = np.asarray(keep_w, dtype=float)
+    values, weights = np.asarray(pairs, dtype=float).T
+    values, inverse = np.unique(values, return_inverse=True)
+    # adds the weights of equal values in input order, as a running sum
+    weights = np.bincount(inverse, weights=weights)
+    total = float(weights.sum())
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"total weight must be a positive finite number, got {total!r}")
     # renormalize only when needed so a canonical echo is bit-exact
-    if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
-        w = w / w.sum()
-    return WeightedValues(np.asarray(keep_v, dtype=float), w)
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        weights = weights / total
+    return WeightedValues(values, weights)
 
 
 def kl_discrete(nu0: WeightedValues, nu: WeightedValues) -> float:

@@ -164,8 +164,8 @@ def region_radius(spec: SumSpec, delta: float) -> RegionResult:
 
 
 def _tail(comps, u: float) -> tuple[float, list[float], float, _Outer]:
-    """Chernoff exponent I(u), the optimal split, the multiplier and the
-    solved components, for means < u < maxima.
+    """Chernoff exponent I(u), the optimal split, the log of the multiplier
+    and the solved components, for means < u < maxima.
 
     ``comps`` holds (alpha, base) pairs.  Component j's conjugate at
     payoff lam v_j has concentration alpha_j / lam.  The root is taken in
@@ -197,15 +197,15 @@ def _tail(comps, u: float) -> tuple[float, list[float], float, _Outer]:
         spread += ((base.v_max - base.v_min) / widest) ** 2 / (2.0 * alpha)
         below += alpha * (1.0 - outer.atoms[j][0])
     lo = math.log((u - means) / widest) - math.log(widest * spread)
-    hi = max(math.log(below / (tops - u)), lo)
+    hi = max(math.log(below) - math.log(tops - u), lo)
     tau = _root(excess, lo, hi, hi, atol=_TAU_TOL)
-    lam = math.exp(tau)
-    exponent = lam * (u - tops)
+    # lam (u - tops) formed in logs: lam itself can pass the float range
+    exponent = -math.exp(tau + math.log(tops - u))
     split = [base.v_max for _, base in comps]
     for j, (alpha, kappa, (_, _, gap, kl, _)) in zip(outer.live, outer.solve(-tau)):
         exponent += alpha * (gap + kl)
         split[j] -= kappa * gap
-    return max(exponent, 0.0), split, lam, outer
+    return max(exponent, 0.0), split, tau, outer
 
 
 def optimal_split(spec: SumSpec, u: float) -> list[float]:

@@ -106,3 +106,27 @@ def exact_log_mgf(alpha, base):
             total += mu[j] * g[n - j] / rising
         g.append(alpha * total / n)
     return shift + math.log(math.fsum(g))
+
+
+def canonicalize_loop(pairs):
+    """(values, weights) of canonical atoms by a stable sort and a merge loop.
+
+    Adds the weights of equal values left to right in input order and
+    renormalizes when the total is off 1 by more than 1e-12, as
+    ``dpconc.measures.canonicalize`` must; valid input only.
+    """
+    vals = np.asarray([p[0] for p in pairs], dtype=float)
+    wts = np.asarray([p[1] for p in pairs], dtype=float)
+    order = np.argsort(vals, kind="stable")
+    vals, wts = vals[order], wts[order]
+    keep_v, keep_w = [vals[0]], [wts[0]]
+    for v, w in zip(vals[1:], wts[1:]):
+        if v == keep_v[-1]:
+            keep_w[-1] += w
+        else:
+            keep_v.append(v)
+            keep_w.append(w)
+    w = np.asarray(keep_w, dtype=float)
+    if abs(float(w.sum()) - 1.0) > 1e-12:
+        w = w / w.sum()
+    return np.asarray(keep_v, dtype=float), w

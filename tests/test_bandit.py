@@ -6,6 +6,7 @@ import pytest
 from dpconc.bandit import (
     BanditInstance,
     PolicyState,
+    _bernoulli_base,
     cts_step,
     cucb_kl_step,
     escb_kl_step,
@@ -31,6 +32,17 @@ class FixedBetaRng:
 
 def bernoulli_base(mean):
     return canonicalize([(0.0, 1.0 - mean), (1.0, mean)])
+
+
+@pytest.mark.parametrize(
+    "mean",
+    [0.0, 1.0] + [k / 7 for k in range(1, 7)]
+    + list(np.random.default_rng(17).random(20)),
+)
+def test_bernoulli_base_is_canonical(mean):
+    base, ref = _bernoulli_base(mean), bernoulli_base(mean)
+    assert base.values.tobytes() == ref.values.tobytes()
+    assert base.weights.tobytes() == ref.weights.tobytes()
 
 
 class TestBanditInstance:

@@ -173,6 +173,16 @@ class TestErrorContract:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(5e-11, rel=1e-8)
 
+    def test_huge_alpha_sumtail_succeeds(self, capsys, tmp_path):
+        base = {"atoms": [{"value": 0.0, "weight": 0.5}, {"value": 1e-10, "weight": 0.5}]}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"components": [{"alpha": 1e300, "base": base}] * 2}))
+        code, out, _ = run_cli(capsys, "sumtail", str(spec), "-u", "1.2e-10")
+        assert code == 0
+        data = json.loads(out)
+        assert data["value"] == 0.0
+        assert sum(data["split"]) == pytest.approx(1.2e-10, rel=1e-8)
+
 
 def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, dpconc.cli; print('scipy' in sys.modules)"

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import measures, raw_atoms
+from oracles import canonicalize_loop
 from dpconc.measures import (
     DPSpec,
     WeightedValues,
@@ -76,6 +78,36 @@ class TestCanonicalize:
             canonicalize([(math.nan, 1.0)])
         with pytest.raises(ValueError):
             canonicalize([(0.0, 0.0), (1.0, 0.0)])
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan])
+    def test_non_finite_weight_raises_without_warning(self, weight):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                canonicalize([(0.0, weight), (1.0, 1.0)])
+
+    @given(raw_atoms)
+    def test_matches_merge_loop_bitwise(self, pairs):
+        m = canonicalize(pairs)
+        values, weights = canonicalize_loop(pairs)
+        assert m.values.tobytes() == values.tobytes()
+        assert m.weights.tobytes() == weights.tobytes()
+
+    def test_matches_merge_loop_bitwise_at_extreme_scales(self):
+        # duplicates, zero weights and totals from 1e-300 to 1e300
+        rng = np.random.default_rng(9)
+        for _ in range(2000):
+            n = int(rng.integers(1, 9))
+            vals = rng.choice(rng.normal(size=4), size=n)
+            wts = rng.random(n) * 10.0 ** rng.integers(-300, 300)
+            wts[rng.random(n) < 0.2] = 0.0
+            if wts.sum() == 0.0:
+                continue
+            pairs = list(zip(vals, wts))
+            m = canonicalize(pairs)
+            values, weights = canonicalize_loop(pairs)
+            assert m.values.tobytes() == values.tobytes()
+            assert m.weights.tobytes() == weights.tobytes()
 
     @given(raw_atoms)
     def test_canonical_invariants(self, pairs):

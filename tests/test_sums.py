@@ -249,6 +249,18 @@ class TestOptimalSplit:
         with pytest.raises(ValueError):
             optimal_split(spec, 1.1)
 
+    def test_huge_concentration(self):
+        # lam* = alpha (u - mean) / Var is about 4e309, past the float range
+        base = canonicalize([(0.0, 0.5), (1e-10, 0.5)])
+        spec = SumSpec([DPSpec(1e300, base)] * 2)
+        u = 1.2e-10
+        split = optimal_split(spec, u)
+        assert sum(split) == pytest.approx(u, rel=1e-12)
+        assert split[0] == split[1]
+        for level in split:
+            assert base.mean < level < base.v_max
+        assert sum_tail_bound(spec, u) == 0.0
+
     def test_point_mass_component_pinned(self):
         spec = SumSpec([DPSpec(2.0, canonicalize([(0.25, 1.0)])), DPSpec(5.0, BER_HALF)])
         split = optimal_split(spec, 1.0)

@@ -36,14 +36,25 @@ def test_tolerance_override_wires_through():
     assert not report["passed"]
 
 
-def test_moments_suite_passes_at_seed_101():
+@pytest.fixture(scope="module")
+def moments_at_seed_101():
+    return run_suite("moments", seed=101)
+
+
+def test_moments_suite_passes_at_seed_101(moments_at_seed_101):
     # the worst of the 20 configurations sits 3.44 standard errors out: a
     # joint 3-sigma band fails here on correct code, the Bonferroni band holds
-    report = run_suite("moments", seed=101)
+    report = moments_at_seed_101
     assert report["passed"], report
     check = report["checks"][0]
     assert check["name"] == "nested_moments_within_3_sigma"
     assert check["z"] == pytest.approx(3.817, abs=1e-3)
+
+
+def test_moments_margin_leaves_out_deterministic_products(moments_at_seed_101):
+    # configurations whose cuts take every atom have a product of 1; they
+    # would pin the margin at the 1e-12 floor of rounding
+    assert moments_at_seed_101["checks"][0]["margin"] > 1e-6
 
 
 def test_moments_suite_detects_a_one_percent_bias(monkeypatch):
