@@ -130,15 +130,17 @@ def canonicalize(pairs) -> WeightedValues:
 
     Sorts by value, merges exact duplicates by adding their weights,
     renormalizes the total mass to 1, and keeps zero-weight atoms.
-    :class:`WeightedValues` checks the result.
+    Rejects a negative weight (a merge could hide it); :class:`WeightedValues` checks the rest.
     """
     pairs = list(pairs)
     if len(pairs) == 0:
         raise ValueError("empty atom list")
     values, weights = np.asarray(pairs, dtype=float).T
-    values, inverse = np.unique(values, return_inverse=True)
-    # adds the weights of equal values in input order, as a running sum
-    weights = np.bincount(inverse, weights=weights)
+    if (weights < 0).any():
+        raise ValueError("weights must be nonnegative")
+    # equal values keep the first in input order (0.0 or -0.0) and add their weights in it
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    values, weights = values[first], np.bincount(inverse, weights=weights)
     total = float(weights.sum())
     if not 0.0 < total < math.inf:
         raise ValueError(f"total weight must be a positive finite number, got {total!r}")

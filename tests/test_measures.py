@@ -78,6 +78,9 @@ class TestCanonicalize:
             canonicalize([(math.nan, 1.0)])
         with pytest.raises(ValueError):
             canonicalize([(0.0, 0.0), (1.0, 0.0)])
+        # the negative weight sits on a repeated value, so the merge would absorb it
+        with pytest.raises(ValueError):
+            canonicalize([(0.0, -0.5), (0.0, 1.0), (1.0, 0.5)])
 
     @pytest.mark.parametrize("weight", [math.inf, math.nan])
     def test_non_finite_weight_raises_without_warning(self, weight):
@@ -98,7 +101,7 @@ class TestCanonicalize:
         rng = np.random.default_rng(9)
         for _ in range(2000):
             n = int(rng.integers(1, 9))
-            vals = rng.choice(rng.normal(size=4), size=n)
+            vals = rng.choice(np.r_[rng.normal(size=4), 0.0, -0.0], size=n)
             wts = rng.random(n) * 10.0 ** rng.integers(-300, 300)
             wts[rng.random(n) < 0.2] = 0.0
             if wts.sum() == 0.0:
@@ -108,6 +111,22 @@ class TestCanonicalize:
             values, weights = canonicalize_loop(pairs)
             assert m.values.tobytes() == values.tobytes()
             assert m.weights.tobytes() == weights.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 17, 64, 257])
+    def test_signed_zero_keeps_first_in_input_order(self, n):
+        # 0.0 and -0.0 are equal values; the merged atom takes the sign of the
+        # first one given, whatever sort numpy picks for this length
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            vals = np.r_[rng.choice([0.0, -0.0]), rng.choice([0.0, -0.0, 1.0], size=n - 1)]
+            rng.shuffle(vals)
+            pairs = [(v, 1.0 / n) for v in vals]
+            m = canonicalize(pairs)
+            values, weights = canonicalize_loop(pairs)
+            assert m.values.tobytes() == values.tobytes()
+            assert m.weights.tobytes() == weights.tobytes()
+            first_zero = vals[vals == 0.0][0]
+            assert math.copysign(1.0, m.values[0]) == math.copysign(1.0, first_zero)
 
     @given(raw_atoms)
     def test_canonical_invariants(self, pairs):
