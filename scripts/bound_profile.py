@@ -15,7 +15,8 @@ import sys
 
 import numpy as np
 
-from dpconc.cgf import cgf_bound, tail_bound_single
+from dpconc.cgf import cgf_bound
+from dpconc.kinf import tail_bound_single
 from dpconc.measures import DPSpec, canonicalize
 from dpconc.sampler import mc_log_mgf, sample_payoff_means
 

@@ -23,9 +23,8 @@ from .cgf import (
     cgf_bound,
     cgf_bound_scaled,
     gamma_log_mgf,
-    tail_bound_single,
 )
-from .kinf import KinfResult, kinf, kinf_inverse, kinf_slope
+from .kinf import KinfResult, kinf, kinf_inverse, kinf_slope, tail_bound_single
 from .measures import DPSpec, WeightedValues, canonicalize, kl_bernoulli, kl_discrete
 from .sampler import (
     DPSample,
@@ -51,11 +50,11 @@ __all__ = [
     "kinf",
     "kinf_slope",
     "kinf_inverse",
+    "tail_bound_single",
     "CgfBoundResult",
     "cgf_bound",
     "cgf_bound_scaled",
     "gamma_log_mgf",
-    "tail_bound_single",
     "beta_cgf_bound",
     "SumSpec",
     "RegionResult",

@@ -172,21 +172,16 @@ def lower_bound_constant(instance: BanditInstance) -> float:
     return sum((p[0] - q) / kl_bernoulli(q, p[0]) for q in p[1:])
 
 
-def _policy_step(policy: str):
-    if policy == "cts":
-        return lambda inst, st, rng: cts_step(inst, st, rng)
-    if policy == "cucb":
-        return lambda inst, st, rng: cucb_kl_step(inst, st)
-    if policy == "escb":
-        return lambda inst, st, rng: escb_kl_step(inst, st)
-    if policy == "oracle":
-        return lambda inst, st, rng: 0
-    if policy == "worst":
-        return lambda inst, st, rng: int(np.argmin(inst.block_means))
-    raise ValueError(f"unknown policy {policy!r}")
-
-
-POLICIES = ("cts", "cucb", "escb", "oracle", "worst")
+# each step looks its policy function up when called, so that a rebinding
+# of the module attribute (a tracer, a test double) reaches run_experiment
+_STEPS = {
+    "cts": lambda inst, st, rng: cts_step(inst, st, rng),
+    "cucb": lambda inst, st, rng: cucb_kl_step(inst, st),
+    "escb": lambda inst, st, rng: escb_kl_step(inst, st),
+    "oracle": lambda inst, st, rng: 0,
+    "worst": lambda inst, st, rng: int(np.argmin(inst.block_means)),
+}
+POLICIES = tuple(_STEPS)
 
 
 def run_experiment(
@@ -199,7 +194,9 @@ def run_experiment(
     """
     if T < 1 or reps < 1:
         raise ValueError("T and reps must be >= 1")
-    step = _policy_step(policy)
+    if policy not in _STEPS:
+        raise ValueError(f"unknown policy {policy!r}")
+    step = _STEPS[policy]
     theta = instance.theta
     p1 = instance.block_means[0]
     traces = []

@@ -21,10 +21,11 @@ The secular equation is solved for the scale-free ratio r = (c - v_max) / alpha
 in [top mass, 1] (see ``_conjugate``) by ``_root``, a safeguarded Newton
 root finder.  The sum regions and tails of ``dpconc.sums``, the half-space
 projection ``kinf``, its inverse ``kinf_inverse`` (the KL-UCB index) and
-``tail_bound_single`` are outer roots of the same finder over this kernel.
+the single-process Chernoff tail ``tail_bound_single`` are outer roots of
+the same finder over this kernel.
 
-Also here: the Gamma-process log-MGF, the single-process Chernoff tail,
-and the closed-form bound for Beta random variables.
+Also here: the Gamma-process log-MGF and the closed-form bound for Beta
+random variables.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "cgf_bound",
     "cgf_bound_scaled",
     "gamma_log_mgf",
-    "tail_bound_single",
     "beta_cgf_bound",
 ]
 
@@ -212,27 +212,13 @@ def gamma_log_mgf(dp: DPSpec) -> float:
     return -dp.alpha * float(np.sum(p * np.log1p(-v)))
 
 
-def tail_bound_single(dp: DPSpec, u: float) -> float:
-    """Chernoff tail bound exp(-alpha * kinf(base, u)) in [0, 1].
-
-    The exponent of the one-component sum tail scales with alpha, so it is
-    alpha times the tail at concentration 1, which is ``kinf``; solving at 1
-    keeps the multiplier, alpha times kinf's slope, within range.
-    """
-    from .kinf import kinf  # kinf builds on dpconc.sums, which builds on this module
-
-    k = kinf(dp.base, u).value
-    if math.isinf(k):
-        return 0.0
-    return min(1.0, math.exp(-dp.alpha * k))
-
-
 def beta_cgf_bound(a: float, b: float, lam: float) -> float:
     """Closed-form CGF bound for a centered Beta(a, b) random variable.
 
     Evaluates max_{s in [a/(a+b), 1]} lam (s - a/(a+b)) - (a+b) kl(a/(a+b), s)
     at the stationary point s = (lam - (a+b) + sqrt((lam - (a+b))^2 + 4 lam a)) / (2 lam),
-    rationalized to avoid cancellation for small lam.
+    rationalized to avoid cancellation for small lam.  For large lam, s
+    rounds to 1, so 1 - s is carried in its own rationalized form.
     """
     if not (a > 0 and b > 0):
         raise ValueError("a and b must be positive")
@@ -242,8 +228,15 @@ def beta_cgf_bound(a: float, b: float, lam: float) -> float:
         return 0.0
     p = a / (a + b)
     diff = lam - (a + b)
-    root = math.sqrt(diff * diff + 4.0 * lam * a)
-    denom = root - diff if diff <= 0 else 4.0 * lam * a / (root + diff)
-    s = min(2.0 * a / denom, 1.0)
+    root = math.hypot(diff, 2.0 * math.sqrt(lam) * math.sqrt(a))
+    if diff <= 0:
+        s = min(2.0 * a / (root - diff), 1.0)
+        kl = kl_bernoulli(p, s)
+    else:
+        # 1 - s = b / d with d = (lam + a + b + root) / 2, halved through so
+        # that it stays finite; then (1 - p) / (1 - s) = d / (a + b)
+        d = 0.5 * (lam + a + b) + 0.5 * root
+        s = 1.0 - b / d
+        kl = p * math.log(p / s) + b / (a + b) * (math.log(d) - math.log(a + b))
     # s = p is always feasible, so the maximum is nonnegative
-    return max(lam * (s - p) - (a + b) * kl_bernoulli(p, s), 0.0)
+    return max(lam * (s - p) - (a + b) * kl, 0.0)

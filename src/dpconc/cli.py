@@ -10,13 +10,14 @@ failure, 2 input error or a failed computation (an ArithmeticError).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 from .bandit import POLICIES, BanditInstance, lower_bound_constant, run_experiment
-from .cgf import cgf_bound, tail_bound_single
-from .kinf import kinf
+from .cgf import cgf_bound
+from .kinf import kinf, tail_bound_single
 from .measures import DPSpec, WeightedValues
 from .sums import SumSpec, optimal_split, region_radius, sum_tail_bound
 from .verify import SUITES, run_suite
@@ -28,20 +29,24 @@ def _fmt(x: float) -> float:
     return float(f"{x:.9g}")
 
 
-def _round_floats(obj, full_precision: bool):
-    if full_precision:
-        return obj
-    if isinstance(obj, float):
-        return _fmt(obj)
+def _plain(obj, full_precision: bool):
+    """A result as JSON data: a record's fields in order, a measure as its
+    atoms, and floats at 9 significant digits unless ``full_precision``."""
+    if isinstance(obj, WeightedValues):
+        obj = obj.to_dict()
+    elif dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
-        return {k: _round_floats(v, full_precision) for k, v in obj.items()}
+        return {k: _plain(v, full_precision) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, full_precision) for v in obj]
+        return [_plain(v, full_precision) for v in obj]
+    if isinstance(obj, float) and not full_precision:
+        return _fmt(obj)
     return obj
 
 
-def _emit(result: dict, args) -> None:
-    result = _round_floats(result, args.precision)
+def _emit(result, args) -> None:
+    result = _plain(result, args.precision)
     if args.format == "csv":
         lines = ["key,value"]
         for k, v in result.items():
@@ -73,30 +78,12 @@ def _sum_spec(path: str) -> SumSpec:
 
 
 def _cmd_kinf(args) -> int:
-    res = kinf(_measure(args.measure), args.u)
-    _emit(
-        {
-            "value": res.value,
-            "lambda_star": res.lambda_star,
-            "at_boundary": res.at_boundary,
-            "diagnostic": res.diagnostic,
-        },
-        args,
-    )
+    _emit(kinf(_measure(args.measure), args.u), args)
     return 0
 
 
 def _cmd_bound(args) -> int:
-    res = cgf_bound(DPSpec(args.alpha, _measure(args.measure)))
-    _emit(
-        {
-            "value": res.value,
-            "c_star": res.c_star,
-            "boundary_mass": res.boundary_mass,
-            "witness": res.witness.to_dict(),
-        },
-        args,
-    )
+    _emit(cgf_bound(DPSpec(args.alpha, _measure(args.measure))), args)
     return 0
 
 
@@ -107,16 +94,7 @@ def _cmd_tail(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    res = region_radius(_sum_spec(args.spec), args.delta)
-    _emit(
-        {
-            "radius": res.radius,
-            "lambda_star": res.lambda_star,
-            "unconstrained": res.unconstrained,
-            "witnesses": [w.to_dict() for w in res.witnesses],
-        },
-        args,
-    )
+    _emit(region_radius(_sum_spec(args.spec), args.delta), args)
     return 0
 
 
@@ -132,11 +110,7 @@ def _cmd_sumtail(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.tol is not None and args.tol <= 0:
-        raise ValueError("--tol must be positive")
-    if args.samples is not None and args.samples < 1:
-        raise ValueError("--samples must be >= 1")
-    report = run_suite(args.suite, seed=args.seed, samples=args.samples, tol=args.tol)
+    report = run_suite(args.suite, seed=args.seed, samples=args.samples)
     _emit(report, args)
     return 0 if report["passed"] else 1
 
@@ -218,7 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a self-verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("bandit", help="run a semi-bandit experiment")

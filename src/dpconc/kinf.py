@@ -14,7 +14,8 @@ equation (c - u) sum_i p_i / (c - v_i) = 1 at concentration 1/lam, so
 the tail's multiplier is the optimal dual multiplier.  The endpoint
 lam = 1/(v_max - u) is attained, on the conjugate's boundary branch,
 only when the base puts no mass at v_max.  The KL-UCB index
-``kinf_inverse`` is the one-component region at concentration 1.
+``kinf_inverse`` is the one-component region at concentration 1, and the
+single-process Chernoff tail ``tail_bound_single`` is exp(-alpha * kinf).
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import WeightedValues
+from .measures import DPSpec, WeightedValues
 from .sums import _region, _tail
 
-__all__ = ["KinfResult", "kinf", "kinf_slope", "kinf_inverse"]
+__all__ = ["KinfResult", "kinf", "kinf_slope", "kinf_inverse", "tail_bound_single"]
 
 
 @dataclass(frozen=True)
@@ -96,3 +97,16 @@ def kinf_inverse(base: WeightedValues, budget: float) -> float:
     if math.isinf(budget):
         return base.v_max
     return _region([(1.0, base)], budget)[0]
+
+
+def tail_bound_single(dp: DPSpec, u: float) -> float:
+    """Chernoff tail bound exp(-alpha * kinf(base, u)) in [0, 1].
+
+    The exponent of the one-component sum tail scales with alpha, so it is
+    alpha times the tail at concentration 1, which is ``kinf``; solving at 1
+    keeps the multiplier, alpha times kinf's slope, within range.
+    """
+    k = kinf(dp.base, u).value
+    if math.isinf(k):
+        return 0.0
+    return min(1.0, math.exp(-dp.alpha * k))

@@ -141,7 +141,12 @@ def canonicalize(pairs) -> WeightedValues:
     # equal values keep the first in input order (0.0 or -0.0) and add their weights in it
     _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
     values, weights = values[first], np.bincount(inverse, weights=weights)
-    total = float(weights.sum())
+    with np.errstate(over="ignore"):
+        total = float(weights.sum())
+    if total == math.inf and np.isfinite(weights).all():
+        # finite weights whose sum passes the float range: scale them first
+        weights = weights / weights.max()
+        total = float(weights.sum())
     if not 0.0 < total < math.inf:
         raise ValueError(f"total weight must be a positive finite number, got {total!r}")
     # renormalize only when needed so a canonical echo is bit-exact

@@ -69,8 +69,8 @@ class RegionResult:
 
     radius: float
     lambda_star: float
+    unconstrained: bool
     witnesses: tuple[WeightedValues, ...]
-    unconstrained: bool = False
 
 
 class _Outer:
@@ -156,8 +156,8 @@ def region_radius(spec: SumSpec, delta: float) -> RegionResult:
     witnesses = []
     for (_, base), (top, _, below), sol in zip(comps, outer.atoms, outer.sols):
         witnesses.append(base if sol is None else _witness(base, top, below, sol[0], sol[1])[0])
-    return RegionResult(radius=radius, lambda_star=lam, witnesses=tuple(witnesses),
-                        unconstrained=not outer.live)
+    return RegionResult(radius=radius, lambda_star=lam, unconstrained=not outer.live,
+                        witnesses=tuple(witnesses))
 
 
 # -- tail bound over an additive split ------------------------------------

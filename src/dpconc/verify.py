@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from .cgf import cgf_bound, cgf_bound_scaled, gamma_log_mgf, tail_bound_single
-from .kinf import kinf
+from .cgf import cgf_bound, cgf_bound_scaled, gamma_log_mgf
+from .kinf import kinf, tail_bound_single
 from .measures import DPSpec, WeightedValues, canonicalize, kl_discrete
 from .sampler import (
     mc_log_mgf,
@@ -26,6 +26,8 @@ from .sums import SumSpec, region_radius, sum_tail_bound
 __all__ = ["SUITES", "run_suite"]
 
 _BERNOULLI_HALF = canonicalize([(0.0, 0.5), (1.0, 0.5)])
+_DUALITY_TOL = 1e-6  # largest conjugate-route gap the duality suite allows
+_SUPERADD_REL_TOL = 1e-12  # largest relative excess of Q_k over R_k
 _SUPERADD_KMAX = 12  # most sets in a superadd split
 _MOMENTS_CONFIGS = 20  # random configurations of the moments suite
 
@@ -84,9 +86,7 @@ def chernoff_minimum_gamma(dp: DPSpec, u: float) -> float:
     lam_max = 1.0 / (vmax - u)
 
     def objective(lam: float) -> float:
-        payoff = canonicalize(
-            (min(lam * (v - u), 1.0), w) for v, w in dp.base.atoms
-        )
+        payoff = WeightedValues(np.minimum(lam * (dp.base.values - u), 1.0), dp.base.weights)
         return gamma_log_mgf(DPSpec(dp.alpha, payoff))
 
     return _minimize_convex(objective, 0.0, lam_max)
@@ -111,7 +111,7 @@ def min_scaled_conjugate(dp: DPSpec, u: float) -> float:
 # -- suites ----------------------------------------------------------------
 
 
-def suite_duality(seed: int, samples: int = 200, tol: float = 1e-6) -> dict:
+def suite_duality(seed: int, samples: int = 200) -> dict:
     """Scaled-conjugate minimum vs the half-space projection, two routes."""
     rng = np.random.default_rng(seed)
     gamma_tol = 1e-9
@@ -130,15 +130,15 @@ def suite_duality(seed: int, samples: int = 200, tol: float = 1e-6) -> dict:
         worst_conj = max(worst_conj, gap_conj)
         worst_gamma = max(worst_gamma, gap_gamma)
     checks = [
-        _check("conjugate_matches_projection", worst_conj < tol, tol - worst_conj,
-               max_gap=worst_conj, cases=samples),
+        _check("conjugate_matches_projection", worst_conj < _DUALITY_TOL,
+               _DUALITY_TOL - worst_conj, max_gap=worst_conj, cases=samples),
         _check("gamma_chernoff_matches_projection", worst_gamma < gamma_tol,
                gamma_tol - worst_gamma, max_gap=worst_gamma, cases=samples),
     ]
     return _report("duality", checks)
 
 
-def suite_superadd(seed: int, samples: int = 500, rel_tol: float = 1e-12) -> dict:
+def suite_superadd(seed: int, samples: int = 500) -> dict:
     """Subset-split moments never exceed the merged-process moments."""
     rng = np.random.default_rng(seed)
     worst = math.inf
@@ -155,7 +155,7 @@ def suite_superadd(seed: int, samples: int = 500, rel_tol: float = 1e-12) -> dic
         q1, r1 = qk_rk(alpha, beta, [a1], 1)
         exact_ok = exact_ok and (q1 == r1)
     checks = [
-        _check("qk_below_rk", worst >= -rel_tol, worst + rel_tol,
+        _check("qk_below_rk", worst >= -_SUPERADD_REL_TOL, worst + _SUPERADD_REL_TOL,
                min_relative_gap=worst, cases=samples, kmax=_SUPERADD_KMAX),
         _check("q1_equals_r1_exactly", exact_ok, 0.0),
     ]
@@ -298,16 +298,12 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int, samples: int | None = None, tol: float | None = None) -> dict:
-    """Dispatch a named suite with optional sample-count/tolerance overrides."""
+def run_suite(name: str, seed: int, samples: int | None = None) -> dict:
+    """Run a named suite, with ``samples`` in place of its default sample count."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    fn = SUITES[name]
-    kwargs = {}
-    if samples is not None:
-        kwargs["samples"] = samples
-    if tol is not None and name == "duality":
-        kwargs["tol"] = tol
-    if tol is not None and name == "superadd":
-        kwargs["rel_tol"] = tol
-    return fn(seed, **kwargs)
+    if samples is None:
+        return SUITES[name](seed)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples!r}")
+    return SUITES[name](seed, samples=samples)

@@ -15,8 +15,8 @@ from scipy import stats
 
 from oracles import bootstrap_mean_ci, kinf_grid_three_atoms, kinf_grid_two_atoms
 from dpconc.bandit import BanditInstance, lower_bound_constant, run_experiment
-from dpconc.cgf import beta_cgf_bound, cgf_bound, cgf_bound_scaled, tail_bound_single
-from dpconc.kinf import kinf
+from dpconc.cgf import beta_cgf_bound, cgf_bound, cgf_bound_scaled
+from dpconc.kinf import kinf, tail_bound_single
 from dpconc.measures import DPSpec, canonicalize, kl_bernoulli, kl_discrete
 from dpconc.sampler import (
     mc_log_mgf,

@@ -12,9 +12,8 @@ from dpconc.cgf import (
     cgf_bound,
     cgf_bound_scaled,
     gamma_log_mgf,
-    tail_bound_single,
 )
-from dpconc.kinf import kinf
+from dpconc.kinf import kinf, tail_bound_single
 from dpconc.measures import DPSpec, canonicalize, kl_bernoulli, kl_discrete
 from dpconc.verify import chernoff_minimum_gamma, min_scaled_conjugate, random_measure
 
@@ -242,6 +241,17 @@ class TestBetaCgfBound:
         assert beta_cgf_bound(a, b, lam) == pytest.approx(
             cgf_bound_scaled(dp, lam, p), abs=1e-8
         )
+
+    @pytest.mark.parametrize("lam", [1e16, 1e100, 1e300])
+    def test_huge_lambda(self, lam):
+        # s rounds to 1 here, so 1 - s must be carried on its own
+        rng = np.random.default_rng(16)
+        for a, b in [(1.0, 1.0)] + [tuple(rng.uniform(0.1, 10.0, 2)) for _ in range(20)]:
+            p = a / (a + b)
+            dp = DPSpec(a + b, canonicalize([(0.0, 1.0 - p), (1.0, p)]))
+            assert beta_cgf_bound(a, b, lam) == pytest.approx(
+                cgf_bound_scaled(dp, lam, p), rel=1e-12
+            )
 
     def test_small_lambda_stable(self):
         # rationalized stationary point: no cancellation as lam -> 0

@@ -100,6 +100,19 @@ class TestComputeCommands:
         data = json.loads(out)
         assert data["split"] == pytest.approx([0.75, 0.75], abs=1e-6)
 
+    def test_records_print_their_fields_in_order(self, capsys, measure_file, spec_file):
+        for argv, keys in (
+            (["kinf", measure_file, "-u", "0.75"],
+             ["value", "lambda_star", "at_boundary", "diagnostic"]),
+            (["bound", measure_file, "--alpha", "1"],
+             ["value", "c_star", "boundary_mass", "witness"]),
+            (["region", spec_file, "--delta", "0.1"],
+             ["radius", "lambda_star", "unconstrained", "witnesses"]),
+        ):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert list(json.loads(out)) == keys
+
     def test_csv_format(self, capsys, measure_file):
         code, out, _ = run_cli(
             capsys, "--format", "csv", "kinf", measure_file, "-u", "0.75"
@@ -211,6 +224,17 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    def test_zero_samples_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "duality", "--samples", "0")
+        assert code == 2
+        assert out == ""
+        assert "samples must be >= 1" in err
+
+    def test_no_tolerance_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "duality", "--tol", "1e-3"])
+        assert exc.value.code == 2
 
     def test_failing_suite_exits_1(self, capsys, monkeypatch):
         import dpconc.cli as cli_mod

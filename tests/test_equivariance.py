@@ -16,8 +16,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import measures
-from dpconc.cgf import cgf_bound, tail_bound_single
-from dpconc.kinf import kinf, kinf_inverse, kinf_slope
+from dpconc.cgf import cgf_bound
+from dpconc.kinf import kinf, kinf_inverse, kinf_slope, tail_bound_single
 from dpconc.measures import DPSpec, canonicalize
 from dpconc.sums import SumSpec, region_radius, sum_tail_bound
 

@@ -89,6 +89,13 @@ class TestCanonicalize:
             with pytest.raises(ValueError):
                 canonicalize([(0.0, weight), (1.0, 1.0)])
 
+    def test_total_past_float_range(self):
+        # each weight is finite, their sum is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = canonicalize([(0.0, 1e308), (1.0, 1e308)])
+        assert m.atoms == [(0.0, 0.5), (1.0, 0.5)]
+
     @given(raw_atoms)
     def test_matches_merge_loop_bitwise(self, pairs):
         m = canonicalize(pairs)

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dpconc.cgf import tail_bound_single
-from dpconc.kinf import kinf, kinf_inverse
+from dpconc.kinf import kinf, kinf_inverse, tail_bound_single
 from dpconc.measures import DPSpec, canonicalize, kl_discrete
 from dpconc.sums import SumSpec, optimal_split, region_radius, sum_tail_bound
 from dpconc.verify import random_measure

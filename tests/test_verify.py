@@ -1,5 +1,6 @@
 import pytest
 
+import dpconc.verify as verify
 from dpconc.verify import SUITES, run_suite
 
 
@@ -10,6 +11,12 @@ def test_all_suite_names_registered():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("nope", seed=0)
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_zero_samples_rejected(name):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        run_suite(name, seed=0, samples=0)
 
 
 @pytest.mark.parametrize(
@@ -30,9 +37,10 @@ def test_suites_pass_on_default_seed(name, kwargs):
         assert set(check) >= {"name", "passed", "margin"}
 
 
-def test_tolerance_override_wires_through():
+def test_tolerance_override_wires_through(monkeypatch):
     # an absurdly tight duality tolerance must flip the suite to failing
-    report = run_suite("duality", seed=3, samples=10, tol=1e-18)
+    monkeypatch.setattr(verify, "_DUALITY_TOL", 1e-18)
+    report = run_suite("duality", seed=3, samples=10)
     assert not report["passed"]
 
 
