@@ -18,13 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from dpconc.bandit import BanditInstance, lower_bound_constant, run_experiment
+from dpconc.cli import DEFAULT_SEED
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--T", type=int, default=2000)
     ap.add_argument("--reps", type=int, default=20)
-    ap.add_argument("--seed", type=int, default=789001361)
+    ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ap.add_argument("--policies", nargs="+",
                     default=["cts", "cucb", "escb", "oracle", "worst"])
     ap.add_argument("--out-dir", default=None)

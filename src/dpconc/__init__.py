@@ -24,7 +24,7 @@ from .cgf import (
     cgf_bound_scaled,
     gamma_log_mgf,
 )
-from .kinf import KinfResult, kinf, kinf_inverse, kinf_slope, tail_bound_single
+from .kinf import KinfResult, kinf, kinf_inverse, tail_bound_single
 from .measures import DPSpec, WeightedValues, canonicalize, kl_bernoulli, kl_discrete
 from .sampler import (
     DPSample,
@@ -36,7 +36,8 @@ from .sampler import (
     sample_payoff_means,
     sample_stick_breaking,
 )
-from .sums import RegionResult, SumSpec, optimal_split, region_radius, sum_tail_bound
+from .sums import (RegionResult, SumSpec, SumTailResult, optimal_split, region_radius,
+                   sum_tail, sum_tail_bound)
 
 __version__ = "0.1.0"
 
@@ -48,7 +49,6 @@ __all__ = [
     "kl_discrete",
     "KinfResult",
     "kinf",
-    "kinf_slope",
     "kinf_inverse",
     "tail_bound_single",
     "CgfBoundResult",
@@ -58,7 +58,9 @@ __all__ = [
     "beta_cgf_bound",
     "SumSpec",
     "RegionResult",
+    "SumTailResult",
     "region_radius",
+    "sum_tail",
     "sum_tail_bound",
     "optimal_split",
     "DPSample",

@@ -198,21 +198,18 @@ def run_experiment(
         raise ValueError(f"unknown policy {policy!r}")
     step = _STEPS[policy]
     theta = instance.theta
-    p1 = instance.block_means[0]
+    means = np.asarray(instance.block_means)
+    regret = instance.m * (means[0] - means)
     traces = []
     for child in np.random.SeedSequence(seed).spawn(reps):
         rng = np.random.default_rng(child)
         state = PolicyState.fresh(instance.n)
         actions = np.empty(T, dtype=np.int64)
-        cum = np.empty(T)
-        regret = 0.0
         for t in range(T):
             j = step(instance, state, rng)
             arms = instance.block_arms(j)
             outcomes = rng.random(instance.m) < theta[list(arms)]
             state.update(arms, outcomes)
-            regret += instance.m * (p1 - instance.block_means[j])
             actions[t] = j
-            cum[t] = regret
-        traces.append(RegretTrace(actions, cum))
+        traces.append(RegretTrace(actions, np.cumsum(regret[actions])))
     return traces

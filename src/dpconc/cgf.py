@@ -151,8 +151,9 @@ def _conjugate(top: float, terms, ell: float, r: float = 1.0):
         curv += p * t * t
         tilt += p * t * d
     # gap = 1 - r at the root, to full relative accuracy even where r
-    # rounds to 1 (large kappa), so it stands in for 1 - r below
-    kl = top * math.log1p(-gap) if top > 0.0 else 0.0
+    # rounds to 1 (large kappa), so it stands in for 1 - r below; where the
+    # gap rounds to 1 (top mass below the rounding of 1), r carries log r
+    kl = top * (math.log1p(-gap) if gap < 1.0 else math.log(r)) if top > 0.0 else 0.0
     for (p, a, b), (_, lg) in zip(pu, terms):
         # log(r + 1/u) without cancellation on either side of u = 1
         kl += p * (math.log1p(b - gap) if b < 1.0 else math.log1p(r * a) + lg - ell)

@@ -19,7 +19,7 @@ from .bandit import POLICIES, BanditInstance, lower_bound_constant, run_experime
 from .cgf import cgf_bound
 from .kinf import kinf, tail_bound_single
 from .measures import DPSpec, WeightedValues
-from .sums import SumSpec, optimal_split, region_radius, sum_tail_bound
+from .sums import SumSpec, region_radius, sum_tail
 from .verify import SUITES, run_suite
 
 DEFAULT_SEED = int("D1R1CH", 36)  # fixed default stream: 789001361
@@ -99,13 +99,7 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_sumtail(args) -> int:
-    spec = _sum_spec(args.spec)
-    out = {"value": sum_tail_bound(spec, args.u)}
-    lo = sum(c.base.mean for c in spec.components)
-    hi = sum(c.base.v_max for c in spec.components)
-    if lo <= args.u <= hi:
-        out["split"] = optimal_split(spec, args.u)
-    _emit(out, args)
+    _emit(sum_tail(_sum_spec(args.spec), args.u), args)
     return 0
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .measures import DPSpec, WeightedValues
 from .sums import _region, _tail
 
-__all__ = ["KinfResult", "kinf", "kinf_slope", "kinf_inverse", "tail_bound_single"]
+__all__ = ["KinfResult", "kinf", "kinf_inverse", "tail_bound_single"]
 
 
 @dataclass(frozen=True)
@@ -49,37 +49,20 @@ class KinfResult:
 
 
 def kinf(base: WeightedValues, u: float) -> KinfResult:
-    """Solve the half-space projection of ``base`` at level ``u``."""
-    if not math.isfinite(u):
-        raise ValueError("u must be finite")
-    mean = base.mean
-    if u <= mean:
-        return KinfResult(0.0, 0.0, False, 1.0)
-    vmax = base.v_max
-    if u >= vmax:
-        # the constraint forces the point mass at v_max
-        pv, _ = base.positive()
-        if u == vmax and pv.size == 1 and pv[0] == vmax:
-            return KinfResult(0.0, 0.0, False, 1.0)
-        return KinfResult(math.inf, 0.0, False, 1.0)
+    """Solve the half-space projection of ``base`` at level ``u``.
 
+    Levels are read as by the sum tail: 0 at or below the mean, inf at or
+    above v_max unless the base is the point mass there; NaN is rejected.
+    """
     value, _, tau, outer = _tail([(1.0, base)], u)
+    if outer.sols[0] is None:
+        # nothing was solved: the level is at or past an end of the range
+        return KinfResult(value, 0.0, False, 1.0)
     lam = math.exp(tau)
     v, p = base.positive()
     diagnostic = float(np.sum(p / (1.0 + lam * (u - v))))
     # r = 0: the conjugate sits on its boundary branch, lam = 1/(v_max - u)
     return KinfResult(value, lam, outer.sols[0][0] == 0.0, diagnostic)
-
-
-def kinf_slope(base: WeightedValues, u: float) -> float:
-    """Derivative of u -> kinf(base, u): the optimal dual multiplier.
-
-    Defined for v_min <= u < v_max; identically 0 at and below the mean
-    and nondecreasing in u.
-    """
-    if not (base.v_min <= u < base.v_max):
-        raise ValueError(f"u must lie in [v_min, v_max), got {u!r}")
-    return kinf(base, u).lambda_star
 
 
 def kinf_inverse(base: WeightedValues, budget: float) -> float:
@@ -106,7 +89,4 @@ def tail_bound_single(dp: DPSpec, u: float) -> float:
     alpha times the tail at concentration 1, which is ``kinf``; solving at 1
     keeps the multiplier, alpha times kinf's slope, within range.
     """
-    k = kinf(dp.base, u).value
-    if math.isinf(k):
-        return 0.0
-    return min(1.0, math.exp(-dp.alpha * k))
+    return math.exp(-dp.alpha * kinf(dp.base, u).value)

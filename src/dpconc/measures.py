@@ -99,15 +99,6 @@ class WeightedValues:
         mask = self.weights > 0
         return self.values[mask], self.weights[mask]
 
-    @property
-    def mass_at_max(self) -> float:
-        return float(self.weights[-1])
-
-    def is_point_mass(self) -> bool:
-        """True when all probability sits on a single value."""
-        _, w = self.positive()
-        return w.size == 1
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedValues):
             return NotImplemented

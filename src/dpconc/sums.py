@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from .cgf import _atoms, _conjugate, _root, _witness
 from .measures import DPSpec, WeightedValues
 
-__all__ = ["SumSpec", "RegionResult", "region_radius", "sum_tail_bound", "optimal_split"]
+__all__ = ["SumSpec", "RegionResult", "SumTailResult", "region_radius", "sum_tail",
+           "sum_tail_bound", "optimal_split"]
 
 # absolute step tolerance of the outer roots in log lam: a relative step of lam
 _TAU_TOL = 1e-13
@@ -128,17 +129,20 @@ def _region(comps, budget: float) -> tuple[float, float, _Outer]:
 
     # spent >= sum_j alpha_j (sum_i p_i log(gap_i / kappa_j) + top_j log top_j),
     # which is exact as lam -> 0; and spent <= sum_j (v_max_j - mean_j) / lam
-    # because each conjugate is at least the base mean
+    # because each conjugate is at least the base mean.  The slope and offset
+    # are per unit of the largest concentration, rounded to a power of two so
+    # that the scaling is exact: the offset itself can pass the float range
+    unit = math.ldexp(1.0, -math.frexp(max(alpha for alpha, _ in comps))[1])
     slope = offset = reach = 0.0
     for j in outer.live:
-        alpha, base = comps[j]
+        alpha, base = comps[j][0] * unit, comps[j][1]
         top, terms, _ = outer.atoms[j]
         mass = sum(p for p, _ in terms)
         slope += alpha * mass
         offset += alpha * (sum(p * lg for p, lg in terms) - mass * outer.logs[j])
         offset += alpha * top * math.log(top) if top > 0.0 else 0.0
         reach += base.v_max - base.mean
-    lo = (offset - budget) / slope
+    lo = (offset - budget * unit) / slope
     tau = _root(h, lo, max(math.log(reach / budget), lo), lo, atol=_TAU_TOL)
     lam = math.exp(tau)
     radius = lam * budget + tops
@@ -163,19 +167,46 @@ def region_radius(spec: SumSpec, delta: float) -> RegionResult:
 # -- tail bound over an additive split ------------------------------------
 
 
-def _tail(comps, u: float) -> tuple[float, list[float], float, _Outer]:
-    """Chernoff exponent I(u), the optimal split, the log of the multiplier
-    and the solved components, for means < u < maxima.
+@dataclass(frozen=True)
+class SumTailResult:
+    """Chernoff bound on P(sum_j E_{X_j}[v_j] >= u) with the optimal split.
 
-    ``comps`` holds (alpha, base) pairs.  Component j's conjugate at
-    payoff lam v_j has concentration alpha_j / lam.  The root is taken in
-    tau = log lam on log((tops - u) / deficit), where tops is the sum of
-    maxima and the deficit sum_j (v_max_j - E_{q_j}[v_j]) falls like
-    exp(-tau) for large lam.
+    ``split`` holds the levels (u_j) summing to u that minimize
+    sum_j alpha_j kinf_j(u_j); it is None for u outside
+    [sum of means, sum of maxima], where no split exists.
     """
+
+    value: float
+    split: list[float] | None
+
+
+def _tail(comps, u: float) -> tuple[float, list[float] | None, float, _Outer]:
+    """Chernoff exponent I(u), the optimal split, the log of the multiplier
+    and the components, solved when means < u < maxima.
+
+    ``comps`` holds (alpha, base) pairs.  A component with no positive
+    mass below its top counts as the point mass at its top, whatever its
+    weight rounds to.  At or below the sum of means the exponent is 0, at
+    or above the sum of maxima it is inf; there the multiplier is 0 and
+    the split is the means (or the maxima) at equality, None beyond.
+
+    Component j's conjugate at payoff lam v_j has concentration
+    alpha_j / lam.  The root is taken in tau = log lam on
+    log((tops - u) / deficit), where tops is the sum of maxima and the
+    deficit sum_j (v_max_j - E_{q_j}[v_j]) falls like exp(-tau) for
+    large lam.
+    """
+    if math.isnan(u):
+        raise ValueError("u must not be NaN")
     outer = _Outer(comps)
-    tops = sum(base.v_max for _, base in comps)
-    means = sum(base.mean for _, base in comps)
+    maxima = [base.v_max for _, base in comps]
+    means = [base.mean if terms else base.v_max
+             for (_, base), (_, terms, _) in zip(comps, outer.atoms)]
+    tops, bottom = sum(maxima), sum(means)
+    if u <= bottom:
+        return 0.0, means if u == bottom else None, -math.inf, outer
+    if u >= tops:
+        return math.inf, maxima if u == tops else None, -math.inf, outer
 
     def excess(tau: float):
         deficit = ddeficit = 0.0
@@ -189,23 +220,30 @@ def _tail(comps, u: float) -> tuple[float, list[float], float, _Outer]:
     # Pinsker bounds each witness mean by mean_j + lam spread_j^2 / (2 alpha_j),
     # and q_i <= alpha_j p_i / (lam gap_i) bounds it below by
     # v_max_j - alpha_j (1 - top_j) / lam; the spreads are taken relative to
-    # the widest, so that their squares neither overflow nor underflow
+    # the widest, so that their squares neither overflow nor underflow, and
+    # halved after the division by alpha_j, where 2 alpha_j could overflow
     widest = max(comps[j][1].v_max - comps[j][1].v_min for j in outer.live)
     spread = below = 0.0
     for j in outer.live:
         alpha, base = comps[j]
-        spread += ((base.v_max - base.v_min) / widest) ** 2 / (2.0 * alpha)
+        spread += ((base.v_max - base.v_min) / widest) ** 2 / alpha / 2.0
         below += alpha * (1.0 - outer.atoms[j][0])
-    lo = math.log((u - means) / widest) - math.log(widest * spread)
+    lo = math.log((u - bottom) / widest) - math.log(widest * spread)
     hi = max(math.log(below) - math.log(tops - u), lo)
     tau = _root(excess, lo, hi, hi, atol=_TAU_TOL)
     # lam (u - tops) formed in logs: lam itself can pass the float range
     exponent = -math.exp(tau + math.log(tops - u))
-    split = [base.v_max for _, base in comps]
+    split = maxima
     for j, (alpha, kappa, (_, _, gap, kl, _)) in zip(outer.live, outer.solve(-tau)):
         exponent += alpha * (gap + kl)
         split[j] -= kappa * gap
     return max(exponent, 0.0), split, tau, outer
+
+
+def sum_tail(spec: SumSpec, u: float) -> SumTailResult:
+    """Chernoff tail bound of the sum at level ``u`` with its optimal split."""
+    exponent, split, _, _ = _tail([(c.alpha, c.base) for c in spec.components], u)
+    return SumTailResult(math.exp(-exponent), split)
 
 
 def optimal_split(spec: SumSpec, u: float) -> list[float]:
@@ -213,23 +251,12 @@ def optimal_split(spec: SumSpec, u: float) -> list[float]:
 
     They are the means of the tail's witnesses at the optimal multiplier.
     """
-    comps = spec.components
-    means = [c.base.mean for c in comps]
-    vmaxs = [c.base.v_max for c in comps]
-    if not (sum(means) <= u <= sum(vmaxs)):
-        raise ValueError(f"u must lie in [{sum(means)}, {sum(vmaxs)}], got {u!r}")
-    if u == sum(means):
-        return means
-    if u == sum(vmaxs):
-        return vmaxs
-    return _tail([(c.alpha, c.base) for c in comps], u)[1]
+    split = sum_tail(spec, u).split
+    if split is None:
+        raise ValueError(f"u must lie in [sum of means, sum of maxima], got {u!r}")
+    return split
 
 
 def sum_tail_bound(spec: SumSpec, u: float) -> float:
     """Chernoff bound on P(sum_j E_{X_j}[v_j] >= u) in [0, 1]."""
-    comps = spec.components
-    if u <= sum(c.base.mean for c in comps):
-        return 1.0
-    if u >= sum(c.base.v_max for c in comps):
-        return 0.0
-    return min(1.0, math.exp(-_tail([(c.alpha, c.base) for c in comps], u)[0]))
+    return sum_tail(spec, u).value

@@ -14,7 +14,7 @@ from dpconc.cgf import (
     gamma_log_mgf,
 )
 from dpconc.kinf import kinf, tail_bound_single
-from dpconc.measures import DPSpec, canonicalize, kl_bernoulli, kl_discrete
+from dpconc.measures import DPSpec, WeightedValues, canonicalize, kl_bernoulli, kl_discrete
 from dpconc.verify import chernoff_minimum_gamma, min_scaled_conjugate, random_measure
 
 BER_HALF = canonicalize([(0.0, 0.5), (1.0, 0.5)])
@@ -55,6 +55,14 @@ class TestCgfBound:
         got = cgf_bound(DPSpec(1e300, base)).value
         assert math.isfinite(got)
         assert got == pytest.approx(5e-11, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1e-20, 1e-300])
+    def test_tiny_top_mass(self, alpha):
+        # the witness's mean gap to the top, per unit of alpha, rounds to 1
+        base = WeightedValues([0.0, 1.0], [1.0, 1e-17])
+        res = cgf_bound(DPSpec(alpha, base))
+        primal = res.witness.mean - alpha * kl_discrete(base, res.witness)
+        assert res.value == pytest.approx(primal, rel=1e-12)
 
     def test_c_star_is_top_eigenvalue(self):
         # the secular equation sum_i alpha p_i / (c - v_i) = 1 is that of the
@@ -119,7 +127,7 @@ class TestExactLogMgf:
         rng = np.random.default_rng(18)
         for _ in range(100):
             base = random_measure(rng, int(rng.integers(2, 8)))
-            if base.is_point_mass():
+            if base.positive()[1].size == 1:
                 continue
             alpha = float(np.exp(rng.uniform(np.log(0.05), np.log(10.0))))
             assert cgf_bound(DPSpec(alpha, base)).value > exact_log_mgf(alpha, base)

@@ -108,6 +108,7 @@ class TestComputeCommands:
              ["value", "c_star", "boundary_mass", "witness"]),
             (["region", spec_file, "--delta", "0.1"],
              ["radius", "lambda_star", "unconstrained", "witnesses"]),
+            (["sumtail", spec_file, "-u", "1.5"], ["value", "split"]),
         ):
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0
@@ -185,6 +186,14 @@ class TestErrorContract:
         code, out, _ = run_cli(capsys, "bound", str(measure), "--alpha", "1e300")
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(5e-11, rel=1e-8)
+
+    def test_tiny_top_mass_bound_succeeds(self, capsys, tmp_path):
+        measure = tmp_path / "measure.json"
+        atoms = [{"value": 0.0, "weight": 1.0}, {"value": 1.0, "weight": 1e-17}]
+        measure.write_text(json.dumps({"atoms": atoms}))
+        code, out, _ = run_cli(capsys, "bound", str(measure), "--alpha", "1e-3")
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(0.992092245, rel=1e-9)
 
     def test_huge_alpha_sumtail_succeeds(self, capsys, tmp_path):
         base = {"atoms": [{"value": 0.0, "weight": 0.5}, {"value": 1e-10, "weight": 0.5}]}

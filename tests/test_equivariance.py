@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import measures
 from dpconc.cgf import cgf_bound
-from dpconc.kinf import kinf, kinf_inverse, kinf_slope, tail_bound_single
+from dpconc.kinf import kinf, kinf_inverse, tail_bound_single
 from dpconc.measures import DPSpec, canonicalize
 from dpconc.sums import SumSpec, region_radius, sum_tail_bound
 
@@ -102,9 +102,9 @@ def test_kinf_equivariant(base, s, t, frac):
 def test_kinf_slope_equivariant(base, s, t, frac):
     assume(base.v_max > base.mean)
     u = level([(1.0, base)], frac)
-    want = kinf_slope(base, u)
-    assert abs(kinf_slope(moved(base, s=s), s * u) * s - want) <= REL * want
-    assert abs(kinf_slope(moved(base, t=t), u + t) - want) <= REL * want
+    want = kinf(base, u).lambda_star
+    assert abs(kinf(moved(base, s=s), s * u).lambda_star * s - want) <= REL * want
+    assert abs(kinf(moved(base, t=t), u + t).lambda_star - want) <= REL * want
 
 
 @example(alpha=1.0, base=BER_HALF, s=1e9, t=0.0, frac=0.5)

@@ -8,7 +8,7 @@ from scipy import optimize
 from conftest import measures
 from oracles import kinf_grid_three_atoms, kinf_grid_two_atoms
 from dpconc.cgf import cgf_bound
-from dpconc.kinf import kinf, kinf_inverse, kinf_slope
+from dpconc.kinf import kinf, kinf_inverse
 from dpconc.measures import DPSpec, canonicalize, kl_bernoulli
 from dpconc.verify import random_measure
 
@@ -86,7 +86,7 @@ class TestKinfProperties:
             assert res.diagnostic <= 1.0 + 1e-9
             assert 0.0 <= res.lambda_star <= 1.0 / (vmax - u) + 1e-12
             if res.at_boundary:
-                assert base.mass_at_max == 0.0
+                assert base.weights[-1] == 0.0
             elif res.lambda_star > 0:
                 assert abs(res.diagnostic - 1.0) <= 1e-6
 
@@ -164,24 +164,18 @@ class TestKinfOracles:
 
 class TestKinfSlope:
     def test_zero_at_or_below_mean(self):
-        assert kinf_slope(BER_HALF, 0.5) == 0.0
-        assert kinf_slope(BER_HALF, 0.2) == 0.0
+        assert kinf(BER_HALF, 0.5).lambda_star == 0.0
+        assert kinf(BER_HALF, 0.2).lambda_star == 0.0
 
     def test_matches_finite_differences(self):
         h = 1e-5
         fd = (kinf(BER_HALF, 0.75 + h).value - kinf(BER_HALF, 0.75 - h).value) / (2 * h)
-        assert kinf_slope(BER_HALF, 0.75) == pytest.approx(fd, abs=1e-4)
+        assert kinf(BER_HALF, 0.75).lambda_star == pytest.approx(fd, abs=1e-4)
 
     def test_monotone_on_grid(self):
         grid = np.arange(0.55, 0.951, 0.05)
-        slopes = [kinf_slope(BER_HALF, u) for u in grid]
+        slopes = [kinf(BER_HALF, u).lambda_star for u in grid]
         assert all(b >= a - 1e-9 for a, b in zip(slopes, slopes[1:]))
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            kinf_slope(BER_HALF, -0.1)
-        with pytest.raises(ValueError):
-            kinf_slope(BER_HALF, 1.0)
 
 
 class TestKinfInverse:

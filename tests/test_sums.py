@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from dpconc.cli import main
 from dpconc.kinf import kinf, kinf_inverse, tail_bound_single
-from dpconc.measures import DPSpec, canonicalize, kl_discrete
+from dpconc.measures import DPSpec, WeightedValues, canonicalize, kl_discrete
 from dpconc.sums import SumSpec, optimal_split, region_radius, sum_tail_bound
 from dpconc.verify import random_measure
 
@@ -265,3 +267,86 @@ class TestOptimalSplit:
         split = optimal_split(spec, 1.0)
         assert split[0] == pytest.approx(0.25, abs=1e-12)
         assert split[1] == pytest.approx(0.75, abs=1e-8)
+
+
+# kept as it is by canonicalize (its total is within the weight tolerance), and
+# read by the solvers as the point mass at 0.3 although its mean is lower
+DEGENERATE = {"atoms": [{"value": 0.3, "weight": 0.9999999999999}]}
+
+
+def _cli(tmp_path, capsys, command, u):
+    base = DEGENERATE
+    if command == "sumtail":
+        base = {"components": [{"alpha": 1.0, "base": DEGENERATE}]}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(base))
+    argv = [command, str(path), f"-u={u!r}"] + (["--alpha", "1"] if command == "tail" else [])
+    code = main(argv)
+    if code == 2:
+        raise ValueError(capsys.readouterr().err)
+    assert code == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _optimal_split(base, u):
+    try:
+        return {"split": optimal_split(SumSpec([DPSpec(1.0, base)]), u)}
+    except ValueError as exc:
+        if "must lie in" not in str(exc):
+            raise
+        return {"split": None}
+
+
+# what each entry reports at concentration 1: the tail bound, the split, or both
+ENTRIES = {
+    "kinf": lambda base, u, run: {"value": math.exp(-kinf(base, u).value)},
+    "tail_bound_single": lambda base, u, run: {"value": tail_bound_single(DPSpec(1.0, base), u)},
+    "sum_tail_bound": lambda base, u, run: {
+        "value": sum_tail_bound(SumSpec([DPSpec(1.0, base)]), u)},
+    "optimal_split": lambda base, u, run: _optimal_split(base, u),
+    "cli_sumtail": lambda base, u, run: run("sumtail", u),
+    "cli_tail": lambda base, u, run: run("tail", u),
+}
+
+# level -> (tail bound, split); the point mass makes 0.3 attained and every
+# level below it certain, whatever the weight rounds to
+LEVELS = {
+    0.3: (1.0, [0.3]),
+    0.29999999999999: (1.0, None),
+    math.inf: (0.0, None),
+    -math.inf: (1.0, None),
+}
+
+
+@pytest.mark.parametrize("u", [*LEVELS, math.nan])
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_level_contract(entry, u, tmp_path, capsys):
+    base = WeightedValues.from_dict(DEGENERATE)
+    assert base.mean < 0.3 == base.v_max
+
+    def run(command, level):
+        return _cli(tmp_path, capsys, command, level)
+
+    if math.isnan(u):
+        with pytest.raises(ValueError):
+            ENTRIES[entry](base, u, run)
+        return
+    got = ENTRIES[entry](base, u, run)
+    value, split = LEVELS[u]
+    assert got == {k: v for k, v in {"value": value, "split": split}.items() if k in got}
+
+
+def test_huge_concentration_tail():
+    # 2 alpha passes the largest float
+    dp = DPSpec(1e308, BER_HALF)
+    spec = SumSpec([dp])
+    assert sum_tail_bound(spec, 0.6) == tail_bound_single(dp, 0.6) == 0.0
+    assert optimal_split(spec, 0.6) == pytest.approx([0.6], rel=1e-12)
+
+
+def test_huge_concentration_region():
+    # the region's bracket offset alpha log alpha passes the largest float
+    radius = region_radius(SumSpec([DPSpec(1e306, BER_HALF)]), 0.5).radius
+    want = region_radius(SumSpec([DPSpec(1e300, BER_HALF)]), 0.5).radius
+    assert math.isfinite(radius)
+    assert radius == pytest.approx(want, rel=1e-12)
