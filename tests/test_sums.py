@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -299,13 +300,13 @@ def _optimal_split(base, u):
 
 # what each entry reports at concentration 1: the tail bound, the split, or both
 ENTRIES = {
-    "kinf": lambda base, u, run: {"value": math.exp(-kinf(base, u).value)},
-    "tail_bound_single": lambda base, u, run: {"value": tail_bound_single(DPSpec(1.0, base), u)},
-    "sum_tail_bound": lambda base, u, run: {
+    "kinf": lambda base, u, cli: {"value": math.exp(-kinf(base, u).value)},
+    "tail_bound_single": lambda base, u, cli: {"value": tail_bound_single(DPSpec(1.0, base), u)},
+    "sum_tail_bound": lambda base, u, cli: {
         "value": sum_tail_bound(SumSpec([DPSpec(1.0, base)]), u)},
-    "optimal_split": lambda base, u, run: _optimal_split(base, u),
-    "cli_sumtail": lambda base, u, run: run("sumtail", u),
-    "cli_tail": lambda base, u, run: run("tail", u),
+    "optimal_split": lambda base, u, cli: _optimal_split(base, u),
+    "cli_sumtail": lambda base, u, cli: cli("sumtail", u),
+    "cli_tail": lambda base, u, cli: cli("tail", u),
 }
 
 # level -> (tail bound, split); the point mass makes 0.3 attained and every
@@ -323,15 +324,12 @@ LEVELS = {
 def test_level_contract(entry, u, tmp_path, capsys):
     base = WeightedValues.from_dict(DEGENERATE)
     assert base.mean < 0.3 == base.v_max
-
-    def run(command, level):
-        return _cli(tmp_path, capsys, command, level)
-
+    cli = functools.partial(_cli, tmp_path, capsys)
     if math.isnan(u):
         with pytest.raises(ValueError):
-            ENTRIES[entry](base, u, run)
+            ENTRIES[entry](base, u, cli)
         return
-    got = ENTRIES[entry](base, u, run)
+    got = ENTRIES[entry](base, u, cli)
     value, split = LEVELS[u]
     assert got == {k: v for k, v in {"value": value, "split": split}.items() if k in got}
 
