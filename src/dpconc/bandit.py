@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinf import kinf_inverse
-from .measures import DPSpec, WeightedValues, kl_bernoulli
-from .sums import SumSpec, region_radius
+from .cgf import _View
+from .measures import kl_bernoulli
+from .sums import _region
 
 __all__ = [
     "BanditInstance",
@@ -97,8 +97,10 @@ class PolicyState:
         return out
 
     def update(self, arms, outcomes) -> None:
-        self.counts[list(arms)] += 1
-        self.successes[list(arms)] += np.asarray(outcomes, dtype=np.int64)
+        """Count one observation of each of ``arms`` (an index, a slice or a
+        sequence of distinct arms) with its 0/1 outcome."""
+        self.counts[arms] += 1
+        self.successes[arms] += outcomes
         self.t += 1
 
 
@@ -111,8 +113,8 @@ class RegretTrace:
 
 
 def _block_argmax(instance: BanditInstance, per_arm: np.ndarray) -> int:
-    sums = per_arm.reshape(instance.n_blocks, instance.m).sum(axis=1)
-    return int(np.argmax(sums))  # ties resolve to the lowest block index
+    sums = per_arm.reshape(-1, instance.m).sum(axis=1)
+    return int(sums.argmax())  # ties resolve to the lowest block index
 
 
 def cts_step(instance: BanditInstance, state: PolicyState, rng: np.random.Generator) -> int:
@@ -123,41 +125,48 @@ def cts_step(instance: BanditInstance, state: PolicyState, rng: np.random.Genera
     return _block_argmax(instance, theta_plus)
 
 
-def _bernoulli_base(mean: float) -> WeightedValues:
-    # ambient endpoints kept so the confidence solvers can push mass there;
-    # sorted distinct values and weights summing to 1 within an ulp: canonical
-    return WeightedValues(np.array([0.0, 1.0]), np.array([1.0 - mean, mean]))
+def _bernoulli(mean: float) -> _View:
+    # the solver view of the base {0: 1 - mean, 1: mean}, ambient endpoints
+    # kept so that the confidence solvers can push mass there
+    return _View(0.0, 1.0, mean, mean, [(1.0 - mean, 0.0)] if mean < 1.0 else [])
+
+
+def _cucb_indices(instance: BanditInstance, state: PolicyState) -> np.ndarray:
+    """Per-arm KL-UCB indices: kinf_inverse at budget log(t)/N, 1 if unseen."""
+    u = np.ones(instance.n)
+    logt = math.log(state.t)
+    for k, (count, mean) in enumerate(zip(state.counts.tolist(), state.means.tolist())):
+        if count > 0:
+            # a zero budget (t = 1) leaves the mean, as in kinf_inverse
+            budget = logt / count
+            u[k] = _region([(1.0, _bernoulli(mean))], budget)[0] if budget > 0.0 else mean
+    return u
 
 
 def cucb_kl_step(instance: BanditInstance, state: PolicyState) -> int:
     """Per-arm KL upper confidence bounds with exploration budget log(t)/N."""
-    u = np.ones(instance.n)
-    logt = math.log(state.t)
-    for k in range(instance.n):
-        if state.counts[k] > 0:
-            u[k] = kinf_inverse(
-                _bernoulli_base(float(state.means[k])), logt / state.counts[k]
-            )
-    return _block_argmax(instance, u)
+    return _block_argmax(instance, _cucb_indices(instance, state))
+
+
+def _escb_indices(instance: BanditInstance, state: PolicyState) -> np.ndarray:
+    """Per-block radii of the joint KL region at level 1/(t log^2(t+1)),
+    m for a block with an unseen arm."""
+    delta = 1.0 / (state.t * math.log(state.t + 1.0) ** 2)
+    budget = -math.log(min(delta, 1.0 - 1e-12))
+    counts, means = state.counts.tolist(), state.means.tolist()
+    indices = np.empty(instance.n_blocks)
+    for j in range(instance.n_blocks):
+        arms = instance.block_arms(j)
+        if any(counts[k] == 0 for k in arms):
+            indices[j] = instance.m  # maximal optimism for unseen arms
+        else:
+            indices[j] = _region([(float(counts[k]), _bernoulli(means[k])) for k in arms], budget)[0]
+    return indices
 
 
 def escb_kl_step(instance: BanditInstance, state: PolicyState) -> int:
     """Joint KL confidence region per block at level 1/(t log^2(t+1))."""
-    delta = 1.0 / (state.t * math.log(state.t + 1.0) ** 2)
-    delta = min(delta, 1.0 - 1e-12)
-    means = state.means
-    indices = np.empty(instance.n_blocks)
-    for j in range(instance.n_blocks):
-        arms = instance.block_arms(j)
-        if any(state.counts[k] == 0 for k in arms):
-            indices[j] = instance.m  # maximal optimism for unseen arms
-            continue
-        spec = SumSpec(
-            DPSpec(float(state.counts[k]), _bernoulli_base(float(means[k])))
-            for k in arms
-        )
-        indices[j] = region_radius(spec, delta).radius
-    return int(np.argmax(indices))
+    return int(_escb_indices(instance, state).argmax())
 
 
 def lower_bound_constant(instance: BanditInstance) -> float:
@@ -197,19 +206,19 @@ def run_experiment(
     if policy not in _STEPS:
         raise ValueError(f"unknown policy {policy!r}")
     step = _STEPS[policy]
+    m = instance.m
     theta = instance.theta
     means = np.asarray(instance.block_means)
-    regret = instance.m * (means[0] - means)
+    regret = m * (means[0] - means)
     traces = []
     for child in np.random.SeedSequence(seed).spawn(reps):
         rng = np.random.default_rng(child)
         state = PolicyState.fresh(instance.n)
-        actions = np.empty(T, dtype=np.int64)
+        actions = [0] * T
         for t in range(T):
-            j = step(instance, state, rng)
-            arms = instance.block_arms(j)
-            outcomes = rng.random(instance.m) < theta[list(arms)]
-            state.update(arms, outcomes)
-            actions[t] = j
+            j = actions[t] = step(instance, state, rng)
+            arms = slice(j * m, j * m + m)
+            state.update(arms, rng.random(m) < theta[arms])
+        actions = np.array(actions, dtype=np.int64)
         traces.append(RegretTrace(actions, np.cumsum(regret[actions])))
     return traces

@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .measures import DPSpec, WeightedValues, kl_bernoulli
+from .measures import DPSpec, WeightedValues
 
 __all__ = [
     "CgfBoundResult",
@@ -95,13 +96,23 @@ def _root(f, lo: float, hi: float, x: float, atol: float = 0.0) -> float:
     raise ArithmeticError(f"root finder did not converge in {_MAX_ITER} steps")
 
 
-def _atoms(base: WeightedValues) -> tuple[float, list[tuple[float, float]], np.ndarray]:
-    """Base mass at the top value, (p_i, log(v_max - v_i)) for the positive
-    atoms below it, and the positions of those atoms in ``base``."""
+class _View(NamedTuple):
+    """A base as the solvers read it: its range and mean, its mass at the top
+    value and (p_i, log(v_max - v_i)) for the positive atoms below it."""
+
+    v_min: float
+    v_max: float
+    mean: float
+    top: float
+    terms: list[tuple[float, float]]
+
+
+def _atoms(base: WeightedValues) -> _View:
+    """The solver view of ``base``."""
     below = np.flatnonzero(base.weights[:-1] > 0.0)
     gaps = base.v_max - base.values[below]
     terms = list(zip(base.weights[below].tolist(), np.log(gaps).tolist()))
-    return float(base.weights[-1]), terms, below
+    return _View(base.v_min, base.v_max, base.mean, float(base.weights[-1]), terms)
 
 
 def _conjugate(top: float, terms, ell: float, r: float = 1.0):
@@ -166,18 +177,19 @@ def cgf_bound(dp: DPSpec) -> CgfBoundResult:
     """Convex conjugate of ``alpha * KL(base || .)`` evaluated at the payoff."""
     base = dp.base
     alpha = dp.alpha
-    top, terms, below = _atoms(base)
-    r, q_below, gap, kl, _ = _conjugate(top, terms, math.log(alpha))
+    view = _atoms(base)
+    r, q_below, gap, kl, _ = _conjugate(view.top, view.terms, math.log(alpha))
     value = base.v_max - alpha * (gap + kl)
-    witness, boundary_mass = _witness(base, top, below, r, q_below)
+    witness, boundary_mass = _witness(base, r, q_below)
     return CgfBoundResult(value, base.v_max + alpha * r, boundary_mass, witness)
 
 
-def _witness(base: WeightedValues, top: float, below, r: float, q_below) -> tuple[WeightedValues, float]:
+def _witness(base: WeightedValues, r: float, q_below) -> tuple[WeightedValues, float]:
     """Witness measure on the atoms of ``base`` from a :func:`_conjugate`
     solution, and the boundary mass it puts on an ambient top."""
+    top = float(base.weights[-1])
     q = np.zeros_like(base.weights)
-    q[below] = q_below
+    q[np.flatnonzero(base.weights[:-1] > 0.0)] = q_below
     boundary_mass = 0.0
     if top > 0.0:
         q[-1] = top / r
@@ -193,8 +205,8 @@ def cgf_bound_scaled(dp: DPSpec, lam: float, u: float) -> float:
     if lam == 0.0:
         return 0.0
     # the gaps to the top scale by lam, so the concentration scales by 1/lam
-    top, terms, _ = _atoms(dp.base)
-    _, _, gap, kl, _ = _conjugate(top, terms, math.log(dp.alpha) - math.log(lam))
+    view = _atoms(dp.base)
+    _, _, gap, kl, _ = _conjugate(view.top, view.terms, math.log(dp.alpha) - math.log(lam))
     return lam * (dp.base.v_max - u) - dp.alpha * (gap + kl)
 
 
@@ -213,13 +225,23 @@ def gamma_log_mgf(dp: DPSpec) -> float:
     return -dp.alpha * float(np.sum(p * np.log1p(-v)))
 
 
+def _excess_log(t: float) -> float:
+    """t - log(1 + t) for t > -1, with relative accuracy: its series where |t| < 0.1."""
+    if abs(t) < 0.1:
+        return sum((-t) ** k / k for k in range(2, 18))
+    return t - math.log1p(t)
+
+
 def beta_cgf_bound(a: float, b: float, lam: float) -> float:
     """Closed-form CGF bound for a centered Beta(a, b) random variable.
 
-    Evaluates max_{s in [a/(a+b), 1]} lam (s - a/(a+b)) - (a+b) kl(a/(a+b), s)
-    at the stationary point s = (lam - (a+b) + sqrt((lam - (a+b))^2 + 4 lam a)) / (2 lam),
-    rationalized to avoid cancellation for small lam.  For large lam, s
-    rounds to 1, so 1 - s is carried in its own rationalized form.
+    Evaluates max_{s in [p, 1]} lam (s - p) - (a+b) kl(p, s), p = a/(a+b),
+    at the stationary point s, the root of lam s^2 + (a + b - lam) s = a.
+    For lam <= a + b, x = s - p is taken from its own rationalized root and
+    kl(p, p + x) as p e(x/p) + (1 - p) e(-x/(1 - p)) with e(t) = t - log(1 + t),
+    which keeps relative accuracy as lam -> 0, where the bound is
+    lam^2 ab / (2 (a+b)^3) to leading order.  For large lam, s rounds to 1,
+    so 1 - s is carried in its own rationalized form.
     """
     if not (a > 0 and b > 0):
         raise ValueError("a and b must be positive")
@@ -231,13 +253,17 @@ def beta_cgf_bound(a: float, b: float, lam: float) -> float:
     diff = lam - (a + b)
     root = math.hypot(diff, 2.0 * math.sqrt(lam) * math.sqrt(a))
     if diff <= 0:
-        s = min(2.0 * a / (root - diff), 1.0)
-        kl = kl_bernoulli(p, s)
+        # x solves lam x^2 + (2 lam p - diff) x = lam p q, q = 1 - p, and
+        # stays below q / 2 here, so both arguments of e exceed -1
+        q = b / (a + b)
+        x = 2.0 * lam * p * q / (2.0 * lam * p - diff + root)
+        kl = p * _excess_log(x / p) + q * _excess_log(-x / q)
     else:
         # 1 - s = b / d with d = (lam + a + b + root) / 2, halved through so
         # that it stays finite; then (1 - p) / (1 - s) = d / (a + b)
         d = 0.5 * (lam + a + b) + 0.5 * root
         s = 1.0 - b / d
+        x = s - p
         kl = p * math.log(p / s) + b / (a + b) * (math.log(d) - math.log(a + b))
     # s = p is always feasible, so the maximum is nonnegative
-    return max(lam * (s - p) - (a + b) * kl, 0.0)
+    return max(lam * x - (a + b) * kl, 0.0)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cgf import _atoms
 from .measures import DPSpec, WeightedValues
 from .sums import _region, _tail
 
@@ -54,7 +55,7 @@ def kinf(base: WeightedValues, u: float) -> KinfResult:
     Levels are read as by the sum tail: 0 at or below the mean, inf at or
     above v_max unless the base is the point mass there; NaN is rejected.
     """
-    value, _, tau, outer = _tail([(1.0, base)], u)
+    value, _, tau, outer = _tail([(1.0, _atoms(base))], u)
     if outer.sols[0] is None:
         # nothing was solved: the level is at or past an end of the range
         return KinfResult(value, 0.0, False, 1.0)
@@ -79,7 +80,7 @@ def kinf_inverse(base: WeightedValues, budget: float) -> float:
         return base.mean
     if math.isinf(budget):
         return base.v_max
-    return _region([(1.0, base)], budget)[0]
+    return _region([(1.0, _atoms(base))], budget)[0]
 
 
 def tail_bound_single(dp: DPSpec, u: float) -> float:

@@ -68,11 +68,11 @@ class WeightedValues:
             raise ValueError("values and weights must be 1-D arrays of equal length")
         if v.size == 0:
             raise ValueError("at least one atom is required")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("values must be finite")
-        if not np.all(np.diff(v) > 0):
+        if not (v[1:] > v[:-1]).all():
             raise ValueError("values must be strictly increasing")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
+        if (w < 0).any() or not np.isfinite(w).all():
             raise ValueError("weights must be finite and nonnegative")
         if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")

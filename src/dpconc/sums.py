@@ -77,15 +77,15 @@ class RegionResult:
 class _Outer:
     """The components of a sum, ready for an outer root over log lam.
 
-    Components whose base puts all its mass on its top value are
-    degenerate: their conjugate is v_max at every concentration, so they
-    only add v_max and sit out of the root.
+    ``comps`` holds (alpha, view) pairs, each view a base as
+    :func:`dpconc.cgf._atoms` reads it.  Components whose base puts all
+    its mass on its top value are degenerate: their conjugate is v_max at
+    every concentration, so they only add v_max and sit out of the root.
     """
 
     def __init__(self, comps):
         self.comps = comps
-        self.atoms = [_atoms(base) for _, base in comps]
-        self.live = [j for j, (_, terms, _) in enumerate(self.atoms) if terms]
+        self.live = [j for j, (_, view) in enumerate(comps) if view.terms]
         self.logs = [math.log(alpha) for alpha, _ in comps]
         self.sols = [None] * len(comps)
 
@@ -97,24 +97,24 @@ class _Outer:
         """
         out = []
         for j in self.live:
-            top, terms, _ = self.atoms[j]
+            alpha, view = self.comps[j]
             ell = self.logs[j] + shift
             prev = self.sols[j]
-            self.sols[j] = sol = _conjugate(top, terms, ell, prev[0] if prev else 1.0)
-            out.append((self.comps[j][0], math.exp(ell), sol))
+            self.sols[j] = sol = _conjugate(view.top, view.terms, ell, prev[0] if prev else 1.0)
+            out.append((alpha, math.exp(ell), sol))
         return out
 
 
 def _region(comps, budget: float) -> tuple[float, float, _Outer]:
     """Radius, multiplier and solved components of the region at ``budget`` nats.
 
-    ``comps`` holds (alpha, base) pairs and ``budget`` is positive.  The
+    ``comps`` holds (alpha, view) pairs and ``budget`` is positive.  The
     root is taken in tau = log lam on log(budget / spent), which is near
     linear both where lam is small (spent ~ -tau) and where it is large
     (spent ~ exp(-2 tau)).
     """
     outer = _Outer(comps)
-    tops = sum(base.v_max for _, base in comps)
+    tops = sum(view.v_max for _, view in comps)
     if not outer.live:
         return tops, 0.0, outer
 
@@ -135,13 +135,13 @@ def _region(comps, budget: float) -> tuple[float, float, _Outer]:
     unit = math.ldexp(1.0, -math.frexp(max(alpha for alpha, _ in comps))[1])
     slope = offset = reach = 0.0
     for j in outer.live:
-        alpha, base = comps[j][0] * unit, comps[j][1]
-        top, terms, _ = outer.atoms[j]
+        alpha, (_, v_max, mean, top, terms) = comps[j]
+        alpha *= unit
         mass = sum(p for p, _ in terms)
         slope += alpha * mass
         offset += alpha * (sum(p * lg for p, lg in terms) - mass * outer.logs[j])
         offset += alpha * top * math.log(top) if top > 0.0 else 0.0
-        reach += base.v_max - base.mean
+        reach += v_max - mean
     lo = (offset - budget * unit) / slope
     tau = _root(h, lo, max(math.log(reach / budget), lo), lo, atol=_TAU_TOL)
     lam = math.exp(tau)
@@ -155,11 +155,10 @@ def region_radius(spec: SumSpec, delta: float) -> RegionResult:
     """Radius of the product confidence region at level ``delta``."""
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0,1), got {delta!r}")
-    comps = [(c.alpha, c.base) for c in spec.components]
-    radius, lam, outer = _region(comps, -math.log(delta))
-    witnesses = []
-    for (_, base), (top, _, below), sol in zip(comps, outer.atoms, outer.sols):
-        witnesses.append(base if sol is None else _witness(base, top, below, sol[0], sol[1])[0])
+    comps = spec.components
+    radius, lam, outer = _region([(c.alpha, _atoms(c.base)) for c in comps], -math.log(delta))
+    witnesses = [c.base if sol is None else _witness(c.base, sol[0], sol[1])[0]
+                 for c, sol in zip(comps, outer.sols)]
     return RegionResult(radius=radius, lambda_star=lam, unconstrained=not outer.live,
                         witnesses=tuple(witnesses))
 
@@ -184,7 +183,7 @@ def _tail(comps, u: float) -> tuple[float, list[float] | None, float, _Outer]:
     """Chernoff exponent I(u), the optimal split, the log of the multiplier
     and the components, solved when means < u < maxima.
 
-    ``comps`` holds (alpha, base) pairs.  A component with no positive
+    ``comps`` holds (alpha, view) pairs.  A component with no positive
     mass below its top counts as the point mass at its top, whatever its
     weight rounds to.  At or below the sum of means the exponent is 0, at
     or above the sum of maxima it is inf; there the multiplier is 0 and
@@ -199,9 +198,8 @@ def _tail(comps, u: float) -> tuple[float, list[float] | None, float, _Outer]:
     if math.isnan(u):
         raise ValueError("u must not be NaN")
     outer = _Outer(comps)
-    maxima = [base.v_max for _, base in comps]
-    means = [base.mean if terms else base.v_max
-             for (_, base), (_, terms, _) in zip(comps, outer.atoms)]
+    maxima = [view.v_max for _, view in comps]
+    means = [view.mean if view.terms else view.v_max for _, view in comps]
     tops, bottom = sum(maxima), sum(means)
     if u <= bottom:
         return 0.0, means if u == bottom else None, -math.inf, outer
@@ -221,14 +219,19 @@ def _tail(comps, u: float) -> tuple[float, list[float] | None, float, _Outer]:
     # and q_i <= alpha_j p_i / (lam gap_i) bounds it below by
     # v_max_j - alpha_j (1 - top_j) / lam; the spreads are taken relative to
     # the widest, so that their squares neither overflow nor underflow, and
-    # halved after the division by alpha_j, where 2 alpha_j could overflow
+    # halved after the division by alpha_j, where 2 alpha_j could overflow.
+    # Where 1 - top_j is 0 while mass sits below the top (weights that sum to 1
+    # only within tolerance), that mass is read from the terms; where
+    # widest * spread underflows, its log is taken as a sum of logs
     widest = max(comps[j][1].v_max - comps[j][1].v_min for j in outer.live)
     spread = below = 0.0
     for j in outer.live:
-        alpha, base = comps[j]
-        spread += ((base.v_max - base.v_min) / widest) ** 2 / alpha / 2.0
-        below += alpha * (1.0 - outer.atoms[j][0])
-    lo = math.log((u - bottom) / widest) - math.log(widest * spread)
+        alpha, (v_min, v_max, _, top, terms) = comps[j]
+        spread += ((v_max - v_min) / widest) ** 2 / alpha / 2.0
+        below += alpha * ((1.0 - top) or sum(p for p, _ in terms))
+    scale = widest * spread
+    log_scale = math.log(scale) if scale > 0.0 else math.log(widest) + math.log(spread)
+    lo = math.log((u - bottom) / widest) - log_scale
     hi = max(math.log(below) - math.log(tops - u), lo)
     tau = _root(excess, lo, hi, hi, atol=_TAU_TOL)
     # lam (u - tops) formed in logs: lam itself can pass the float range
@@ -242,7 +245,7 @@ def _tail(comps, u: float) -> tuple[float, list[float] | None, float, _Outer]:
 
 def sum_tail(spec: SumSpec, u: float) -> SumTailResult:
     """Chernoff tail bound of the sum at level ``u`` with its optimal split."""
-    exponent, split, _, _ = _tail([(c.alpha, c.base) for c in spec.components], u)
+    exponent, split, _, _ = _tail([(c.alpha, _atoms(c.base)) for c in spec.components], u)
     return SumTailResult(math.exp(-exponent), split)
 
 

@@ -130,3 +130,17 @@ def canonicalize_loop(pairs):
     if abs(float(w.sum()) - 1.0) > 1e-12:
         w = w / w.sum()
     return np.asarray(keep_v, dtype=float), w
+
+
+def beta_cgf_exact(a, b, lam, digits=50):
+    """The Beta CGF bound max_s lam (s - p) - (a+b) kl(p, s) in ``digits``-digit
+    arithmetic, at the stationary point in its textbook (unrationalized) form."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        a, b, lam = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(lam)
+        n = a + b
+        p = a / n
+        s = (lam - n + mpmath.sqrt((lam - n) ** 2 + 4 * lam * a)) / (2 * lam)
+        kl = p * mpmath.log(p / s) + (1 - p) * mpmath.log((1 - p) / (1 - s))
+        return float(lam * (s - p) - n * kl)

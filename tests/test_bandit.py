@@ -6,13 +6,16 @@ import pytest
 from dpconc.bandit import (
     BanditInstance,
     PolicyState,
-    _bernoulli_base,
+    _bernoulli,
+    _cucb_indices,
+    _escb_indices,
     cts_step,
     cucb_kl_step,
     escb_kl_step,
     lower_bound_constant,
     run_experiment,
 )
+from dpconc.cgf import _atoms
 from dpconc.kinf import kinf_inverse
 from dpconc.measures import DPSpec, canonicalize, kl_bernoulli
 from dpconc.sums import SumSpec, region_radius
@@ -40,9 +43,41 @@ def bernoulli_base(mean):
     + list(np.random.default_rng(17).random(20)),
 )
 def test_bernoulli_base_is_canonical(mean):
-    base, ref = _bernoulli_base(mean), bernoulli_base(mean)
-    assert base.values.tobytes() == ref.values.tobytes()
-    assert base.weights.tobytes() == ref.weights.tobytes()
+    # repr tells every float apart bit for bit (signed zeros included) and
+    # shows a numpy scalar where a Python float belongs
+    assert repr(_bernoulli(float(mean))) == repr(_atoms(bernoulli_base(mean)))
+
+
+def random_states(instance, rng, count):
+    """Policy states with unseen arms, empirical means of 0 and 1, and t = 1."""
+    for i in range(count):
+        counts = rng.integers(0, 40, size=instance.n)
+        successes = rng.integers(0, counts + 1)
+        extreme = rng.random(instance.n) < 0.3
+        successes[extreme] = np.where(rng.random(extreme.sum()) < 0.5, 0, counts[extreme])
+        if i % 3 == 0:
+            counts[counts == 0] = 1
+        t = 1 if i % 5 == 0 else int(rng.integers(2, 5000))
+        yield PolicyState(counts, successes, t)
+
+
+@pytest.mark.parametrize("instance", [INSTANCE, BanditInstance(9, 3, [0.8, 0.5, 0.3])])
+def test_indices_match_public_solvers_bitwise(instance):
+    for state in random_states(instance, np.random.default_rng(23), 40):
+        counts, means = state.counts.tolist(), state.means.tolist()
+        ucb = [kinf_inverse(bernoulli_base(p), math.log(state.t) / c) if c > 0 else 1.0
+               for c, p in zip(counts, means)]
+        assert _cucb_indices(instance, state).tobytes() == np.array(ucb).tobytes()
+        delta = min(1.0 / (state.t * math.log(state.t + 1.0) ** 2), 1.0 - 1e-12)
+        radii = []
+        for j in range(instance.n_blocks):
+            arms = instance.block_arms(j)
+            if any(counts[k] == 0 for k in arms):
+                radii.append(float(instance.m))
+                continue
+            spec = SumSpec(DPSpec(float(counts[k]), bernoulli_base(means[k])) for k in arms)
+            radii.append(region_radius(spec, delta).radius)
+        assert _escb_indices(instance, state).tobytes() == np.array(radii).tobytes()
 
 
 class TestBanditInstance:

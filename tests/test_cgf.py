@@ -267,6 +267,29 @@ class TestBetaCgfBound:
             v = beta_cgf_bound(2.0, 3.0, lam)
             assert 0.0 <= v <= lam**2  # quadratic near zero
 
+    @pytest.mark.parametrize("a, b, lam, want", [(1.0, 1.0, 1e-9, 6.25e-20),
+                                                 (2.0, 3.0, 1e-12, 2.4e-26)])
+    def test_small_lambda_relative_accuracy(self, a, b, lam, want):
+        # 50-digit values; the leading term lam^2 ab / (2 (a+b)^3) gives both
+        assert beta_cgf_bound(a, b, lam) == pytest.approx(want, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 3.0), (0.05, 7.0), (40.0, 0.3)])
+    def test_continuous_at_series_cutoff(self, a, b):
+        # the divergence switches to a series where s - p is a tenth of p or
+        # of 1 - p: on both sides of either switch, and across lam <= a + b,
+        # the bound keeps its relative accuracy
+        pytest.importorskip("mpmath")
+        from oracles import beta_cgf_exact
+
+        n, p, q = a + b, a / (a + b), b / (a + b)
+        s_lo, s_hi = 1.1 * p, p + 0.1 * q
+        cutoffs = [n * (s - p) / (s * (1.0 - s)) for s in (s_lo, s_hi) if s < 1.0]
+        lams = [c * (1.0 + d) for c in cutoffs for d in (-1e-9, 0.0, 1e-9)]
+        lams += list(n * np.logspace(-15, 0, 31))
+        for lam in lams:
+            want = beta_cgf_exact(a, b, lam)
+            assert beta_cgf_bound(a, b, lam) == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_conjugate_dominates_kl(self):
         from dpconc.verify import _minimize_convex
 

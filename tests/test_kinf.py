@@ -9,7 +9,7 @@ from conftest import measures
 from oracles import kinf_grid_three_atoms, kinf_grid_two_atoms
 from dpconc.cgf import cgf_bound
 from dpconc.kinf import kinf, kinf_inverse
-from dpconc.measures import DPSpec, canonicalize, kl_bernoulli
+from dpconc.measures import DPSpec, WeightedValues, canonicalize, kl_bernoulli
 from dpconc.verify import random_measure
 
 BER_HALF = canonicalize([(0.0, 0.5), (1.0, 0.5)])
@@ -51,6 +51,17 @@ class TestKinfExamples:
     def test_rejects_nonfinite_level(self):
         with pytest.raises(ValueError):
             kinf(BER_HALF, math.nan)
+
+    def test_top_weight_of_one_with_mass_below(self):
+        # the weights sum to 1 + 1e-13, within tolerance, so canonicalize keeps
+        # them: 1 - top is 0 while mass sits below the top
+        base = canonicalize([(-1.0, 1e-13), (1.0, 1.0)])
+        assert base.weights[-1] == 1.0
+        normed = WeightedValues(base.values, base.weights / base.weights.sum())
+        u = 1.0 - 5e-14
+        got = kinf(base, u).value
+        assert 0.0 < got < math.inf
+        assert got == pytest.approx(kinf(normed, u).value, rel=1e-9)
 
 
 class TestKinfProperties:

@@ -342,6 +342,14 @@ def test_huge_concentration_tail():
     assert optimal_split(spec, 0.6) == pytest.approx([0.6], rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha, width", [(1e308, 1e-16), (1e308, 1e-20), (1.7e308, 1e-16)])
+def test_huge_concentration_narrow_base_tail(alpha, width):
+    # the lower bracket's width * spread underflows to 0 here
+    spec = SumSpec([DPSpec(alpha, canonicalize([(0.0, 0.5), (width, 0.5)]))])
+    assert sum_tail_bound(spec, 0.6 * width) == 0.0
+    assert optimal_split(spec, 0.6 * width) == pytest.approx([0.6 * width], rel=1e-12)
+
+
 def test_huge_concentration_region():
     # the region's bracket offset alpha log alpha passes the largest float
     radius = region_radius(SumSpec([DPSpec(1e306, BER_HALF)]), 0.5).radius
