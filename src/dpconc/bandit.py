@@ -137,9 +137,7 @@ def _cucb_indices(instance: BanditInstance, state: PolicyState) -> np.ndarray:
     logt = math.log(state.t)
     for k, (count, mean) in enumerate(zip(state.counts.tolist(), state.means.tolist())):
         if count > 0:
-            # a zero budget (t = 1) leaves the mean, as in kinf_inverse
-            budget = logt / count
-            u[k] = _region([(1.0, _bernoulli(mean))], budget)[0] if budget > 0.0 else mean
+            u[k] = _region([(1.0, _bernoulli(mean))], logt / count)[0]
     return u
 
 

@@ -98,7 +98,8 @@ def _root(f, lo: float, hi: float, x: float, atol: float = 0.0) -> float:
 
 class _View(NamedTuple):
     """A base as the solvers read it: its range and mean, its mass at the top
-    value and (p_i, log(v_max - v_i)) for the positive atoms below it."""
+    value and (p_i, log(v_max - v_i)) for the positive atoms below it.  With
+    none below, the base is the point mass at its top, and its mean v_max."""
 
     v_min: float
     v_max: float
@@ -112,7 +113,8 @@ def _atoms(base: WeightedValues) -> _View:
     below = np.flatnonzero(base.weights[:-1] > 0.0)
     gaps = base.v_max - base.values[below]
     terms = list(zip(base.weights[below].tolist(), np.log(gaps).tolist()))
-    return _View(base.v_min, base.v_max, base.mean, float(base.weights[-1]), terms)
+    mean = base.mean if terms else base.v_max
+    return _View(base.v_min, base.v_max, mean, float(base.weights[-1]), terms)
 
 
 def _conjugate(top: float, terms, ell: float, r: float = 1.0):
@@ -240,8 +242,9 @@ def beta_cgf_bound(a: float, b: float, lam: float) -> float:
     For lam <= a + b, x = s - p is taken from its own rationalized root and
     kl(p, p + x) as p e(x/p) + (1 - p) e(-x/(1 - p)) with e(t) = t - log(1 + t),
     which keeps relative accuracy as lam -> 0, where the bound is
-    lam^2 ab / (2 (a+b)^3) to leading order.  For large lam, s rounds to 1,
-    so 1 - s is carried in its own rationalized form.
+    lam^2 ab / (2 (a+b)^3) to leading order.  For lam > a + b, where s
+    rounds to 1 at large lam, s - p and 1 - s are carried in forms that
+    neither cancel nor overflow, up to lam = 1.7e308.
     """
     if not (a > 0 and b > 0):
         raise ValueError("a and b must be positive")
@@ -252,18 +255,20 @@ def beta_cgf_bound(a: float, b: float, lam: float) -> float:
     p = a / (a + b)
     diff = lam - (a + b)
     root = math.hypot(diff, 2.0 * math.sqrt(lam) * math.sqrt(a))
+    q = b / (a + b)
+    # s = p is always feasible, so the maximum is nonnegative
     if diff <= 0:
         # x solves lam x^2 + (2 lam p - diff) x = lam p q, q = 1 - p, and
         # stays below q / 2 here, so both arguments of e exceed -1
-        q = b / (a + b)
         x = 2.0 * lam * p * q / (2.0 * lam * p - diff + root)
         kl = p * _excess_log(x / p) + q * _excess_log(-x / q)
-    else:
-        # 1 - s = b / d with d = (lam + a + b + root) / 2, halved through so
-        # that it stays finite; then (1 - p) / (1 - s) = d / (a + b)
-        d = 0.5 * (lam + a + b) + 0.5 * root
-        s = 1.0 - b / d
-        x = s - p
-        kl = p * math.log(p / s) + b / (a + b) * (math.log(d) - math.log(a + b))
-    # s = p is always feasible, so the maximum is nonnegative
-    return max(lam * x - (a + b) * kl, 0.0)
+        return max(lam * x - (a + b) * kl, 0.0)
+    # 1 - s = b / d with d = (lam + a + b + root) / 2, and m = d - (a + b)
+    # = (diff + root) / 2 (both halved through to stay finite) gives x = q m / d
+    # and (1 - p) / (1 - s) = 1 + m / (a + b) with no cancellation in either log
+    d = 0.5 * (lam + a + b) + 0.5 * root
+    m = 0.5 * diff + 0.5 * root
+    x = q * (m / d)
+    up = math.log1p(x / p) if x < p else -math.log(p / (p + x))
+    down = math.log1p(m / (a + b)) if m < a + b else math.log(d) - math.log(a + b)
+    return max(lam * x + a * up - b * down, 0.0)

@@ -74,74 +74,65 @@ def _sum_spec(path: str) -> SumSpec:
     )
 
 
-# -- subcommand handlers ----------------------------------------------------
+def write_trace(path, traces) -> None:
+    """Write bandit ``traces`` to ``path`` as the trace CSV: columns
+    rep,t,action,cum_regret, LF line ends, regrets at 9 significant digits."""
+    rows = ["rep,t,action,cum_regret"]
+    for rep, tr in enumerate(traces):
+        for t in range(len(tr.actions)):
+            rows.append(f"{rep},{t + 1},{int(tr.actions[t])},{_fmt(float(tr.cum_regret[t]))}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(rows) + "\n")
 
 
-def _cmd_kinf(args) -> int:
-    _emit(kinf(_measure(args.measure), args.u), args)
-    return 0
-
-
-def _cmd_bound(args) -> int:
-    _emit(cgf_bound(DPSpec(args.alpha, _measure(args.measure))), args)
-    return 0
-
-
-def _cmd_tail(args) -> int:
-    value = tail_bound_single(DPSpec(args.alpha, _measure(args.measure)), args.u)
-    _emit({"value": value}, args)
-    return 0
-
-
-def _cmd_region(args) -> int:
-    _emit(region_radius(_sum_spec(args.spec), args.delta), args)
-    return 0
-
-
-def _cmd_sumtail(args) -> int:
-    _emit(sum_tail(_sum_spec(args.spec), args.u), args)
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    report = run_suite(args.suite, seed=args.seed, samples=args.samples)
-    _emit(report, args)
-    return 0 if report["passed"] else 1
-
-
-def _cmd_bandit(args) -> int:
-    instance = BanditInstance.from_dict(_load_json(args.instance))
-    traces = run_experiment(instance, args.policy, args.T, args.reps, args.seed)
-    if args.trace:
-        rows = ["rep,t,action,cum_regret"]
-        for rep, tr in enumerate(traces):
-            for t in range(len(tr.actions)):
-                rows.append(
-                    f"{rep},{t + 1},{int(tr.actions[t])},{_fmt(float(tr.cum_regret[t]))}"
-                )
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
-    mean_rt = float(sum(tr.cum_regret[-1] for tr in traces)) / len(traces)
-    rt_over_logt = mean_rt / math.log(args.T) if args.T > 1 else math.inf
+def run_summary(instance: BanditInstance, policy: str, seed: int, traces) -> dict:
+    """Summary of a bandit run: mean final regret, its ratio to log T and to
+    the lower-bound constant (None where the best block mean is tied)."""
+    T, reps = len(traces[0].actions), len(traces)
+    mean_rt = float(sum(tr.cum_regret[-1] for tr in traces)) / reps
+    rt_over_logt = mean_rt / math.log(T) if T > 1 else math.inf
     try:
         constant = lower_bound_constant(instance)
         ratio = rt_over_logt / constant
     except ValueError:
         constant, ratio = None, None
-    _emit(
-        {
-            "policy": args.policy,
-            "T": args.T,
-            "reps": args.reps,
-            "seed": args.seed,
-            "mean_RT": mean_rt,
-            "RT_over_logT": rt_over_logt,
-            "lower_bound_constant": constant,
-            "ratio": ratio,
-        },
-        args,
-    )
-    return 0
+    return {"policy": policy, "T": T, "reps": reps, "seed": seed, "mean_RT": mean_rt,
+            "RT_over_logT": rt_over_logt, "lower_bound_constant": constant, "ratio": ratio}
+
+
+# -- subcommand handlers: each returns the record that main prints ---------
+
+
+def _cmd_kinf(args):
+    return kinf(_measure(args.measure), args.u)
+
+
+def _cmd_bound(args):
+    return cgf_bound(DPSpec(args.alpha, _measure(args.measure)))
+
+
+def _cmd_tail(args):
+    return {"value": tail_bound_single(DPSpec(args.alpha, _measure(args.measure)), args.u)}
+
+
+def _cmd_region(args):
+    return region_radius(_sum_spec(args.spec), args.delta)
+
+
+def _cmd_sumtail(args):
+    return sum_tail(_sum_spec(args.spec), args.u)
+
+
+def _cmd_verify(args):
+    return run_suite(args.suite, seed=args.seed, samples=args.samples)
+
+
+def _cmd_bandit(args):
+    instance = BanditInstance.from_dict(_load_json(args.instance))
+    traces = run_experiment(instance, args.policy, args.T, args.reps, args.seed)
+    if args.trace:
+        write_trace(args.trace, traces)
+    return run_summary(instance, args.policy, args.seed, traces)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -203,10 +194,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        result = args.handler(args)
+        _emit(result, args)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 1 if args.command == "verify" and not result["passed"] else 0
 
 
 if __name__ == "__main__":

@@ -71,15 +71,9 @@ def kinf_inverse(base: WeightedValues, budget: float) -> float:
 
     It is the one-component confidence region of :mod:`dpconc.sums` at
     concentration 1 and log(1/delta) = budget, solved to relative accuracy
-    through the conjugate's secular equation; returns v_max when even the
-    supremum of the divergence stays within budget (point-mass bases).
+    through the conjugate's secular equation.  A budget of 0 gives the mean, inf
+    gives v_max, and so does any budget on a base with no mass below its top.
     """
-    if not budget >= 0:
-        raise ValueError("budget must be nonnegative")
-    if budget == 0.0:
-        return base.mean
-    if math.isinf(budget):
-        return base.v_max
     return _region([(1.0, _atoms(base))], budget)[0]
 
 

@@ -52,9 +52,6 @@ class SumSpec:
             raise ValueError("at least one component is required")
         object.__setattr__(self, "components", components)
 
-    def __len__(self) -> int:
-        return len(self.components)
-
 
 @dataclass(frozen=True)
 class RegionResult:
@@ -108,14 +105,19 @@ class _Outer:
 def _region(comps, budget: float) -> tuple[float, float, _Outer]:
     """Radius, multiplier and solved components of the region at ``budget`` nats.
 
-    ``comps`` holds (alpha, view) pairs and ``budget`` is positive.  The
-    root is taken in tau = log lam on log(budget / spent), which is near
+    ``comps`` holds (alpha, view) pairs.  A budget of 0 gives the sum of the
+    means, and inf (or no live component) the sum of the maxima.  Otherwise
+    the root is taken in tau = log lam on log(budget / spent), which is near
     linear both where lam is small (spent ~ -tau) and where it is large
     (spent ~ exp(-2 tau)).
     """
+    if not budget >= 0.0:
+        raise ValueError("budget must be nonnegative")
     outer = _Outer(comps)
+    if budget == 0.0:
+        return sum(view.mean for _, view in comps), math.inf, outer
     tops = sum(view.v_max for _, view in comps)
-    if not outer.live:
+    if not outer.live or budget == math.inf:
         return tops, 0.0, outer
 
     def h(tau: float):
@@ -183,9 +185,9 @@ def _tail(comps, u: float) -> tuple[float, list[float] | None, float, _Outer]:
     """Chernoff exponent I(u), the optimal split, the log of the multiplier
     and the components, solved when means < u < maxima.
 
-    ``comps`` holds (alpha, view) pairs.  A component with no positive
-    mass below its top counts as the point mass at its top, whatever its
-    weight rounds to.  At or below the sum of means the exponent is 0, at
+    ``comps`` holds (alpha, view) pairs.  At or below the sum of means
+    (a view's mean is its top where no positive mass sits below it, as
+    :func:`dpconc.cgf._atoms` reads it) the exponent is 0, at
     or above the sum of maxima it is inf; there the multiplier is 0 and
     the split is the means (or the maxima) at equality, None beyond.
 
@@ -199,7 +201,7 @@ def _tail(comps, u: float) -> tuple[float, list[float] | None, float, _Outer]:
         raise ValueError("u must not be NaN")
     outer = _Outer(comps)
     maxima = [view.v_max for _, view in comps]
-    means = [view.mean if view.terms else view.v_max for _, view in comps]
+    means = [view.mean for _, view in comps]
     tops, bottom = sum(maxima), sum(means)
     if u <= bottom:
         return 0.0, means if u == bottom else None, -math.inf, outer

@@ -290,6 +290,24 @@ class TestBetaCgfBound:
             want = beta_cgf_exact(a, b, lam)
             assert beta_cgf_bound(a, b, lam) == pytest.approx(want, rel=1e-13, abs=0.0)
 
+    def test_above_a_plus_b_relative_accuracy(self):
+        # for lam > a + b, s - p and log((1 - p) / (1 - s)) cancel as s nears p
+        # and on skewed (a, b); at (1, 1e-300, 1e10) and (1e300, 1e-5, 1.7e308)
+        # the bound also underflowed to 0
+        pytest.importorskip("mpmath")
+        from oracles import beta_cgf_exact
+
+        rng = np.random.default_rng(23)
+        cases = [(155.908, 0.006795, 171.563), (1e5, 1e-3, 1e100),
+                 (1.0, 1e-300, 1e10), (1e300, 1e-5, 1.7e308)]
+        for _ in range(300):
+            a, b = np.exp(rng.uniform(-5.0, 6.0, 2))
+            cases.append((float(a), float(b), float((a + b) * np.exp(rng.uniform(0.0, 3.0)))))
+        for a, b, lam in cases:
+            # 1 - s reaches 1e-310 here: the oracle's textbook form needs the digits
+            want = beta_cgf_exact(a, b, lam, digits=400)
+            assert beta_cgf_bound(a, b, lam) == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_conjugate_dominates_kl(self):
         from dpconc.verify import _minimize_convex
 

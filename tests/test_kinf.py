@@ -214,6 +214,24 @@ class TestKinfInverse:
         with pytest.raises(ValueError):
             kinf_inverse(BER_HALF, -0.1)
 
+    @pytest.mark.parametrize("budget", [math.nan, -1.0])
+    def test_nan_and_negative_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            kinf_inverse(BER_HALF, budget)
+
+    def test_budget_ends_give_mean_and_top(self):
+        base = canonicalize([(-1.0, 0.25), (0.5, 0.5), (3.0, 0.25), (4.0, 0.0)])
+        assert kinf_inverse(base, 0.0) == base.mean
+        assert kinf_inverse(base, math.inf) == base.v_max
+
+    def test_top_weight_short_of_one_is_the_point_mass(self):
+        # no positive mass sits below the top: every budget, 0 included, reads
+        # the base as the point mass at 1, as the tail does
+        base = canonicalize([(0.0, 0.0), (1.0, 1 - 1e-13)])
+        assert kinf(base, 0.99999999999995).value == 0.0
+        for budget in (0.0, 0.3, math.inf):
+            assert kinf_inverse(base, budget) == 1.0
+
     @settings(max_examples=25)
     @given(measures(min_atoms=2))
     def test_roundtrip_with_kinf(self, base):

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import dpconc
+from dpconc.bandit import POLICIES
+from dpconc.cli import main
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -33,10 +35,22 @@ def test_bandit_comparison(tmp_path):
     proc = run_script("bandit_comparison.py", "--T", "50", "--reps", "1",
                       "--out-dir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    policies = ["cts", "cucb", "escb", "oracle", "worst"]
+    policies = list(POLICIES)  # the default
     # the summary table: two instance lines, a header, then a row per policy
     assert [line.split()[0] for line in proc.stdout.splitlines()[3:]] == policies
     for policy in policies:
         trace = (tmp_path / f"trace_{policy}.csv").read_text().splitlines()
         assert trace[0] == "rep,t,action,cum_regret"
         assert len(trace) == 1 + 50
+
+
+def test_bandit_comparison_trace_is_the_cli_trace(tmp_path, capsys):
+    proc = run_script("bandit_comparison.py", "--T", "60", "--reps", "2", "--seed", "7",
+                      "--policies", "cucb", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    instance = tmp_path / "instance.json"
+    instance.write_text('{"n": 4, "m": 2, "block_means": [0.9, 0.6]}')
+    trace = tmp_path / "cli.csv"
+    assert main(["--seed", "7", "bandit", str(instance), "--policy", "cucb", "-T", "60",
+                 "--reps", "2", "--trace", str(trace)]) == 0
+    assert (tmp_path / "trace_cucb.csv").read_bytes() == trace.read_bytes()

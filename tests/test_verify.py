@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import dpconc
 import dpconc.verify as verify
 from dpconc.verify import SUITES, run_suite
 
@@ -73,3 +80,31 @@ def test_moments_suite_detects_a_one_percent_bias(monkeypatch):
     report = run_suite("moments", seed=789001361, samples=30_000)
     assert not report["passed"]
     assert not report["checks"][0]["passed"]
+
+
+def test_ks_matches_scipy_bitwise():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(31)
+    pairs = [(np.arange(5.0), np.arange(5.0))]
+    for n in (20, 50, 999, 10_000):
+        for shift in (0.0, 0.05, 0.5):
+            pairs.append((rng.normal(size=n), rng.normal(shift, 1.0, size=n)))
+        # ties: the counts are taken at or below each value
+        pairs.append((rng.integers(0, 5, n).astype(float), rng.integers(0, 5, n).astype(float)))
+    for x, y in pairs:
+        want = stats.ks_2samp(x, y)
+        assert verify._ks_2samp(x, y) == (float(want.statistic), float(want.pvalue))
+
+
+def test_moments_command_runs_without_scipy():
+    # the runtime declares numpy only; block scipy and run the one suite that used it
+    code = ("import sys; sys.modules['scipy'] = None; from dpconc.cli import main; "
+            "sys.exit(main(['verify', 'moments', '--samples', '2000']))")
+    env = dict(os.environ)
+    src = str(Path(dpconc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert '"suite": "moments"' in proc.stdout
