@@ -292,8 +292,8 @@ class TestBetaCgfBound:
 
     def test_above_a_plus_b_relative_accuracy(self):
         # for lam > a + b, s - p and log((1 - p) / (1 - s)) cancel as s nears p
-        # and on skewed (a, b); at (1, 1e-300, 1e10) and (1e300, 1e-5, 1.7e308)
-        # the bound also underflowed to 0
+        # and on skewed (a, b); the last two named cases put 1 - s or s - p
+        # near the float limits
         pytest.importorskip("mpmath")
         from oracles import beta_cgf_exact
 

@@ -44,7 +44,7 @@ def test_bandit_comparison(tmp_path):
         assert len(trace) == 1 + 50
 
 
-def test_bandit_comparison_trace_is_the_cli_trace(tmp_path, capsys):
+def test_bandit_comparison_trace_is_the_cli_trace(tmp_path):
     proc = run_script("bandit_comparison.py", "--T", "60", "--reps", "2", "--seed", "7",
                       "--policies", "cucb", "--out-dir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
