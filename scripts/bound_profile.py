@@ -10,7 +10,6 @@ Example:
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np

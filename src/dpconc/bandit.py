@@ -44,6 +44,9 @@ class BanditInstance:
 
     def __init__(self, n: int, m: int, block_means):
         block_means = tuple(float(p) for p in block_means)
+        if n != int(n) or m != int(m):
+            raise ValueError("n and m must be integers")
+        n, m = int(n), int(m)
         if n <= 0 or m <= 0 or n % m != 0:
             raise ValueError("m must divide n and both must be positive")
         if len(block_means) != n // m:
@@ -68,12 +71,9 @@ class BanditInstance:
     def block_arms(self, j: int) -> range:
         return range(j * self.m, (j + 1) * self.m)
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "m": self.m, "block_means": list(self.block_means)}
-
     @classmethod
     def from_dict(cls, data: dict) -> "BanditInstance":
-        return cls(int(data["n"]), int(data["m"]), data["block_means"])
+        return cls(data["n"], data["m"], data["block_means"])
 
 
 @dataclass
@@ -176,7 +176,7 @@ def lower_bound_constant(instance: BanditInstance) -> float:
     p = instance.block_means
     if any(q == p[0] for q in p[1:]):
         raise ValueError("the best block mean must be unique")
-    return sum((p[0] - q) / kl_bernoulli(q, p[0]) for q in p[1:])
+    return sum(((p[0] - q) / kl_bernoulli(q, p[0]) for q in p[1:]), 0.0)
 
 
 # each step looks its policy function up when called, so that a rebinding

@@ -87,15 +87,16 @@ def write_trace(path, traces) -> None:
 
 def run_summary(instance: BanditInstance, policy: str, seed: int, traces) -> dict:
     """Summary of a bandit run: mean final regret, its ratio to log T and to
-    the lower-bound constant (None where the best block mean is tied)."""
+    the lower-bound constant (None where the best block mean is tied; the
+    ratio also None where the constant is 0, with no suboptimal block)."""
     T, reps = len(traces[0].actions), len(traces)
     mean_rt = float(sum(tr.cum_regret[-1] for tr in traces)) / reps
     rt_over_logt = mean_rt / math.log(T) if T > 1 else math.inf
     try:
         constant = lower_bound_constant(instance)
-        ratio = rt_over_logt / constant
     except ValueError:
-        constant, ratio = None, None
+        constant = None
+    ratio = rt_over_logt / constant if constant else None
     return {"policy": policy, "T": T, "reps": reps, "seed": seed, "mean_RT": mean_rt,
             "RT_over_logT": rt_over_logt, "lower_bound_constant": constant, "ratio": ratio}
 
@@ -196,7 +197,7 @@ def main(argv=None) -> int:
     try:
         result = args.handler(args)
         _emit(result, args)
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError, ArithmeticError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 1 if args.command == "verify" and not result["passed"] else 0

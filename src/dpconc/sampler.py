@@ -6,14 +6,11 @@ atoms, i.e. normalized Gamma draws) and the stick-breaking construction
 truncated at a residual tolerance.  Stick-breaking draws its fractions
 in whole chunks and its atoms in one call, with the same truncation rule
 as breaking one stick at a time.  The moment oracles -- the nested-set
-product formula, the split polynomials Q_k / R_k, and the concave
-two-term maximum -- are closed-form and validate every bound in the
-package against simulation.
+product formula and the split polynomials Q_k / R_k -- are closed-form
+and validate every bound in the package against simulation.
 
 All sampling takes an explicit numpy Generator; equal seeds give
-bit-identical output.  Earlier versions of stick-breaking drew an atom
-and a fraction per stick, so a seed now gives other stick-breaking
-draws than it did there.
+bit-identical output.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ __all__ = [
     "sample_stick_breaking",
     "moment_nested",
     "qk_rk",
-    "concave_split_max",
     "mc_log_mgf",
 ]
 
@@ -86,8 +82,7 @@ def sample_stick_breaking(
     ``residual_tol``; the final leftover is handed to one extra atom, so
     weights always sum to 1.  Atom locations come iid from the base, all
     in one draw after the fractions.  Equal seeds give bit-identical
-    draws, but not the draws of earlier versions, which took an atom and
-    a fraction per stick.
+    draws.
     """
     if not (0.0 < residual_tol < 1.0):
         raise ValueError("residual_tol must be in (0,1)")
@@ -162,22 +157,6 @@ def qk_rk(alpha: float, beta: float, nu0_of_sets, k: int) -> tuple[float, float]
         * np.prod(((alpha + beta) * a + ell0) / (alpha + beta + ell0))
     )
     return q, r
-
-
-def concave_split_max(s: float, t: float, j: float, x: float) -> tuple[float, float]:
-    """Maximum over z in [0, j] of the two-term concave split objective.
-
-    h(z) = (s x + z) s / (s + z) + (t x + j - z) t / (t + j - z); the
-    maximizer is z* = j s / (s + t) with value
-    (s + t)((s + t) x + j) / (s + t + j).
-    """
-    if not (s > 0 and t > 0 and j > 0):
-        raise ValueError("s, t and j must be positive")
-    if not (0.0 <= x <= 1.0):
-        raise ValueError("x must lie in [0,1]")
-    z_star = j * s / (s + t)
-    value = (s + t) * ((s + t) * x + j) / (s + t + j)
-    return z_star, value
 
 
 def mc_log_mgf(dp: DPSpec, n: int, rng: np.random.Generator) -> tuple[float, float]:

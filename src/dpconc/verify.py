@@ -189,7 +189,10 @@ def suite_moments(seed: int, samples: int = 100_000) -> dict:
     configurations at that of a single 3-sigma check.  A product of cuts
     that all take every atom is 1 up to rounding: it must match to 1e-12
     and stays out of the margin, which would otherwise read that floor.
+    A standard error takes at least two draws.
     """
+    if samples < 2:
+        raise ValueError(f"the moments suite needs samples >= 2, got {samples!r}")
     from statistics import NormalDist
 
     z = NormalDist().inv_cdf(1.0 - 0.0027 / (2 * _MOMENTS_CONFIGS))

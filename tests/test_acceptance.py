@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from oracles import bootstrap_mean_ci, kinf_grid_three_atoms, kinf_grid_two_atoms

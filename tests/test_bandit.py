@@ -98,7 +98,16 @@ class TestBanditInstance:
     def test_json_roundtrip(self):
         data = {"n": 4, "m": 2, "block_means": [0.9, 0.6]}
         inst = BanditInstance.from_dict(data)
-        assert inst.to_dict() == data
+        assert (inst.n, inst.m, inst.block_means) == (4, 2, (0.9, 0.6))
+
+    def test_integral_sizes_only(self):
+        inst = BanditInstance.from_dict({"n": 4.0, "m": 2.0, "block_means": [0.9, 0.6]})
+        assert (inst.n, inst.m) == (4, 2) and isinstance(inst.n, int)
+        for n, m in ((4.9, 2), (4, 2.5)):
+            with pytest.raises(ValueError, match="integers"):
+                BanditInstance.from_dict({"n": n, "m": m, "block_means": [0.9, 0.6]})
+        with pytest.raises(ValueError, match="integers"):
+            BanditInstance(4.5, 1.5, [0.9, 0.6, 0.5])  # 3 blocks of width 1.5
 
 
 class TestCtsStep:

@@ -157,6 +157,14 @@ class TestErrorContract:
         code, _, _ = run_cli(capsys, "bandit", str(bad), "--policy", "cts", "-T", "5")
         assert code == 2
 
+    def test_fractional_instance_size_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "inst.json"
+        bad.write_text(json.dumps({"n": 4.9, "m": 2, "block_means": [0.9, 0.6]}))
+        code, out, err = run_cli(capsys, "bandit", str(bad), "--policy", "cts", "-T", "5")
+        assert code == 2
+        assert out == ""
+        assert "error: n and m must be integers" in err
+
     def test_arithmetic_error_exits_2(self, capsys, monkeypatch, spec_file):
         import dpconc.cli as cli_mod
 
@@ -245,6 +253,13 @@ class TestVerifyCommand:
             main(["verify", "duality", "--tol", "1e-3"])
         assert exc.value.code == 2
 
+    def test_one_sample_moments_exits_2(self, capsys):
+        # one draw has no standard error: refused before any numpy warning
+        code, out, err = run_cli(capsys, "verify", "moments", "--samples", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: the moments suite needs samples >= 2, got 1\n"
+
     def test_failing_suite_exits_1(self, capsys, monkeypatch):
         import dpconc.cli as cli_mod
 
@@ -277,6 +292,17 @@ class TestBanditCommand:
         assert data["ratio"] == pytest.approx(
             data["RT_over_logT"] / data["lower_bound_constant"], rel=1e-6
         )
+
+    def test_one_block_instance_has_no_ratio(self, capsys, tmp_path):
+        # no suboptimal block: the lower-bound constant is 0 and divides nothing
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"n": 2, "m": 2, "block_means": [0.9]}))
+        code, out, err = run_cli(capsys, "bandit", str(path), "--policy", "cucb", "-T", "5")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["mean_RT"] == 0.0
+        assert data["lower_bound_constant"] == 0.0
+        assert data["ratio"] is None
 
     def test_trace_csv_deterministic(self, capsys, instance_file, tmp_path):
         t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -9,7 +9,6 @@ from scipy import stats
 from oracles import qk_enumerate
 from dpconc.measures import DPSpec, canonicalize
 from dpconc.sampler import (
-    concave_split_max,
     mc_log_mgf,
     moment_nested,
     qk_rk,
@@ -237,37 +236,6 @@ class TestQkRk:
             ab = alpha + beta
             factor = ab * (ab * a[-1] + k - 1) / (ab + k - 1)
             assert q_k <= factor * q_prev * (1 + 1e-12)
-
-
-class TestConcaveSplitMax:
-    def test_symmetric_case(self):
-        z, val = concave_split_max(1.0, 1.0, 1.0, 0.0)
-        assert z == pytest.approx(0.5)
-        assert val == pytest.approx(2.0 / 3.0)
-
-    def test_reference_case(self):
-        z, val = concave_split_max(2.0, 1.0, 2.0, 0.5)
-        assert z == pytest.approx(4.0 / 3.0)
-        assert val == pytest.approx(2.1)
-
-    def test_grid_dominance(self):
-        rng = np.random.default_rng(9)
-        for _ in range(30):
-            s = float(rng.uniform(0.1, 5.0))
-            t = float(rng.uniform(0.1, 5.0))
-            j = float(rng.uniform(0.1, 5.0))
-            x = float(rng.uniform(0.0, 1.0))
-            z_star, val = concave_split_max(s, t, j, x)
-            zs = np.linspace(0.0, j, 1000)
-            h = (s * x + zs) * s / (s + zs) + (t * x + j - zs) * t / (t + j - zs)
-            assert val >= h.max() - 1e-12
-            assert 0.0 <= z_star <= j
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            concave_split_max(0.0, 1.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            concave_split_max(1.0, 1.0, 1.0, 1.5)
 
 
 class TestMcLogMgf:
