@@ -65,8 +65,8 @@ def _root(f, lo: float, hi: float, x: float, atol: float = 0.0) -> float:
 
     ``f(x)`` returns the value and the slope at x.  Newton steps start
     from ``x``; every evaluation shrinks the bracket, and bisection
-    replaces a step that would leave it, that has no positive slope to
-    follow, or that is not under half the step before last (which breaks
+    replaces a step that would leave it, that has no positive finite slope
+    to follow, or that is not under half the step before last (which breaks
     Newton cycles).  Stops once a step, or the bracket, is at most
     _RTOL * |x| + atol.
     """
@@ -84,7 +84,10 @@ def _root(f, lo: float, hi: float, x: float, atol: float = 0.0) -> float:
         tol = _RTOL * abs(x) + atol
         step = fx / slope if slope > 0.0 else math.inf
         if abs(step) <= tol:
-            return x - step
+            if slope < math.inf:
+                return x - step
+            # an infinite slope gives a zero step, not a root: bisect
+            step = math.inf
         if lo <= x - step <= hi and 2.0 * abs(step) <= older:
             x -= step
         else:
@@ -202,7 +205,7 @@ def _witness(base: WeightedValues, r: float, q_below) -> tuple[WeightedValues, f
 
 def cgf_bound_scaled(dp: DPSpec, lam: float, u: float) -> float:
     """Conjugate bound for the recentered, rescaled payoff lam * (v - u)."""
-    if lam < 0:
+    if not lam >= 0.0:
         raise ValueError("lam must be nonnegative")
     if lam == 0.0:
         return 0.0
@@ -248,7 +251,7 @@ def beta_cgf_bound(a: float, b: float, lam: float) -> float:
     """
     if not (a > 0 and b > 0):
         raise ValueError("a and b must be positive")
-    if lam < 0:
+    if not lam >= 0.0:
         raise ValueError("lam must be nonnegative")
     if lam == 0.0:
         return 0.0

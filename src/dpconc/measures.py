@@ -154,8 +154,6 @@ def kl_discrete(nu0: WeightedValues, nu: WeightedValues) -> float:
     ``nu0`` has some.
     """
     pv, pw = nu0.positive()
-    if pv.size == 0:
-        return 0.0
     idx = np.searchsorted(nu.values, pv)
     out = 0.0
     for v, p, i in zip(pv, pw, idx):

@@ -40,6 +40,12 @@ __all__ = ["SumSpec", "RegionResult", "SumTailResult", "region_radius", "sum_tai
 _TAU_TOL = 1e-13
 
 
+def _logsumexp(xs) -> float:
+    """log sum_i exp(x_i), with no term leaving the float range."""
+    top = max(xs)
+    return top + math.log(sum([math.exp(x - top) for x in xs]))
+
+
 @dataclass(frozen=True)
 class SumSpec:
     """An ordered collection of independent components."""
@@ -120,31 +126,36 @@ def _region(comps, budget: float) -> tuple[float, float, _Outer]:
     if not outer.live or budget == math.inf:
         return tops, 0.0, outer
 
+    # the weights, the budget and the bracket are per unit of the largest
+    # concentration, since the unscaled sums and the bracket offset
+    # alpha log alpha can pass the float range.  The unit is a power of two, so
+    # that the scaling is exact, and no smaller than keeps the scaled budget,
+    # which spent meets at the root, above 2^-1000
+    unit = math.ldexp(1.0, -min(math.frexp(max(a for a, _ in comps))[1], math.frexp(budget)[1] + 1000))
+    weights = [comps[j][0] * unit for j in outer.live]
+    scaled = budget * unit
+
     def h(tau: float):
         spent = dspent = 0.0
-        for alpha, _, (_, _, _, kl, dkl) in outer.solve(tau):
-            spent += alpha * kl
-            dspent += alpha * dkl
+        for w, (_, _, (_, _, _, kl, dkl)) in zip(weights, outer.solve(tau)):
+            spent += w * kl
+            dspent += w * dkl
         if spent <= 0.0:
             return math.inf, 0.0
-        return math.log(budget / spent), -dspent / spent
+        return math.log(scaled / spent), -dspent / spent
 
     # spent >= sum_j alpha_j (sum_i p_i log(gap_i / kappa_j) + top_j log top_j),
     # which is exact as lam -> 0; and spent <= sum_j (v_max_j - mean_j) / lam
-    # because each conjugate is at least the base mean.  The slope and offset
-    # are per unit of the largest concentration, rounded to a power of two so
-    # that the scaling is exact: the offset itself can pass the float range
-    unit = math.ldexp(1.0, -math.frexp(max(alpha for alpha, _ in comps))[1])
+    # because each conjugate is at least the base mean
     slope = offset = reach = 0.0
-    for j in outer.live:
-        alpha, (_, v_max, mean, top, terms) = comps[j]
-        alpha *= unit
+    for j, w in zip(outer.live, weights):
+        _, v_max, mean, top, terms = comps[j][1]
         mass = sum(p for p, _ in terms)
-        slope += alpha * mass
-        offset += alpha * (sum(p * lg for p, lg in terms) - mass * outer.logs[j])
-        offset += alpha * top * math.log(top) if top > 0.0 else 0.0
+        slope += w * mass
+        offset += w * (sum(p * lg for p, lg in terms) - mass * outer.logs[j])
+        offset += w * top * math.log(top) if top > 0.0 else 0.0
         reach += v_max - mean
-    lo = (offset - budget * unit) / slope
+    lo = (offset - scaled) / slope
     tau = _root(h, lo, max(math.log(reach / budget), lo), lo, atol=_TAU_TOL)
     lam = math.exp(tau)
     radius = lam * budget + tops
@@ -219,22 +230,14 @@ def _tail(comps, u: float) -> tuple[float, list[float] | None, float, _Outer]:
 
     # Pinsker bounds each witness mean by mean_j + lam spread_j^2 / (2 alpha_j),
     # and q_i <= alpha_j p_i / (lam gap_i) bounds it below by
-    # v_max_j - alpha_j (1 - top_j) / lam; the spreads are taken relative to
-    # the widest, so that their squares neither overflow nor underflow, and
-    # halved after the division by alpha_j, where 2 alpha_j could overflow.
-    # Where 1 - top_j is 0 while mass sits below the top (weights that sum to 1
-    # only within tolerance), that mass is read from the terms; where
-    # widest * spread underflows, its log is taken as a sum of logs
-    widest = max(comps[j][1].v_max - comps[j][1].v_min for j in outer.live)
-    spread = below = 0.0
-    for j in outer.live:
-        alpha, (v_min, v_max, _, top, terms) = comps[j]
-        spread += ((v_max - v_min) / widest) ** 2 / alpha / 2.0
-        below += alpha * ((1.0 - top) or sum(p for p, _ in terms))
-    scale = widest * spread
-    log_scale = math.log(scale) if scale > 0.0 else math.log(widest) + math.log(spread)
-    lo = math.log((u - bottom) / widest) - log_scale
-    hi = max(math.log(below) - math.log(tops - u), lo)
+    # v_max_j - alpha_j mass_j / lam, mass_j the base's mass below its top;
+    # both sums over j are taken in logs, as log-sum-exps of per-component
+    # logs, since their terms can pass the float range
+    live = [(outer.logs[j], comps[j][1]) for j in outer.live]
+    spread = _logsumexp([2.0 * math.log(v.v_max - v.v_min) - ell for ell, v in live])
+    below = _logsumexp([ell + math.log(sum(p for p, _ in v.terms)) for ell, v in live])
+    lo = math.log(u - bottom) + math.log(2.0) - spread
+    hi = max(below - math.log(tops - u), lo)
     tau = _root(excess, lo, hi, hi, atol=_TAU_TOL)
     # lam (u - tops) formed in logs: lam itself can pass the float range
     exponent = -math.exp(tau + math.log(tops - u))

@@ -290,22 +290,30 @@ def suite_mc_bound(seed: int, samples: int = 100_000) -> dict:
 
 
 def suite_ldp(seed: int, samples: int = 1_000_000) -> dict:
-    """Loose asymptotic check: the empirical tail exponent approaches kinf."""
+    """Loose asymptotic check: the empirical tail exponent approaches kinf.
+
+    P(mean >= u) behaves like C alpha^(-1/2) exp(-alpha kinf), so the exponent
+    s = -log(P) / alpha read at one alpha still carries the prefactor.  The
+    asserted rate, (40 s_40 - 20 s_20 - log(2) / 2) / 20, takes it out from
+    two concentrations that see hundreds of hits at the default samples
+    (under one is expected at alpha = 80).  At the exact tails it is 0.1412,
+    against kinf = 0.1438.
+    """
     rng = np.random.default_rng(seed)
     u = 0.75
     k_ref = kinf(_BERNOULLI_HALF, u).value
     checks = []
-    for alpha, assert_band in ((20.0, False), (40.0, False), (80.0, True)):
+    for alpha in (20.0, 40.0):
         means = sample_payoff_means(DPSpec(alpha, _BERNOULLI_HALF), samples, rng)
         hits = int((means >= u).sum())
         stat = math.inf if hits == 0 else -math.log(hits / samples) / alpha
-        rel = abs(stat - k_ref) / k_ref if math.isfinite(stat) else math.inf
-        passed = (rel <= 0.25) if assert_band else True
-        checks.append(
-            _check(f"tail_exponent_alpha_{alpha:g}", passed,
-                   (0.25 - rel) if assert_band else 0.0,
-                   statistic=stat, reference=k_ref, hits=hits, asserted=assert_band)
-        )
+        checks.append(_check(f"tail_exponent_alpha_{alpha:g}", True, 0.0, statistic=stat,
+                             reference=k_ref, hits=hits, asserted=False))
+    s20, s40 = (check["statistic"] for check in checks)
+    rate = (40.0 * s40 - 20.0 * s20 - 0.5 * math.log(2.0)) / 20.0
+    rel = abs(rate - k_ref) / k_ref if math.isfinite(rate) else math.inf
+    checks.append(_check("tail_rate_alpha_20_40", rel <= 0.25, 0.25 - rel, statistic=rate,
+                         reference=k_ref, asserted=True))
     return _report("ldp", checks)
 
 

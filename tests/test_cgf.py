@@ -8,6 +8,7 @@ from scipy.special import hyp1f1
 
 from oracles import exact_log_mgf
 from dpconc.cgf import (
+    _root,
     beta_cgf_bound,
     cgf_bound,
     cgf_bound_scaled,
@@ -23,6 +24,21 @@ BER_HALF = canonicalize([(0.0, 0.5), (1.0, 0.5)])
 def dual_objective(dp, c):
     v, p = dp.base.positive()
     return c - dp.alpha + dp.alpha * float(np.sum(p * np.log(dp.alpha / (c - v))))
+
+
+class TestRoot:
+    def test_infinite_slope_bisects(self):
+        # a Newton step from an infinite slope is 0 and would stop at a non-root
+        assert _root(lambda x: (x - 0.5, math.inf), 0.0, 1.0, 0.0) == pytest.approx(0.5, rel=1e-13)
+
+    def test_nan_raises(self):
+        with pytest.raises(ArithmeticError, match="NaN"):
+            _root(lambda x: (math.nan, 1.0), 0.0, 1.0, 0.5)
+
+    def test_no_convergence_raises(self):
+        # no slope to follow, and a relative stop that a root at 0 never meets
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _root(lambda x: (x, 0.0), -1.0, 2.0, 2.0)
 
 
 class TestCgfBound:
@@ -166,6 +182,12 @@ class TestCgfBoundScaled:
         with pytest.raises(ValueError):
             cgf_bound_scaled(DPSpec(1.0, BER_HALF), -1.0, 0.0)
 
+    @pytest.mark.parametrize("atoms", [[(0.0, 0.5), (1.0, 0.5)],
+                                       [(0.0, 0.5), (0.5, 0.5), (1.0, 0.0)]])
+    def test_nan_lambda_rejected(self, atoms):
+        with pytest.raises(ValueError):
+            cgf_bound_scaled(DPSpec(1.0, canonicalize(atoms)), math.nan, 0.0)
+
 
 class TestGammaLogMgf:
     def test_zero_payoff(self):
@@ -236,6 +258,8 @@ class TestBetaCgfBound:
             beta_cgf_bound(1.0, -1.0, 1.0)
         with pytest.raises(ValueError):
             beta_cgf_bound(1.0, 1.0, -0.5)
+        with pytest.raises(ValueError):
+            beta_cgf_bound(1.0, 1.0, math.nan)
 
     @settings(max_examples=60)
     @given(

@@ -304,6 +304,16 @@ class TestBanditCommand:
         assert data["lower_bound_constant"] == 0.0
         assert data["ratio"] is None
 
+    def test_tied_best_block_has_no_constant(self, capsys, tmp_path):
+        # the lower bound needs a unique best block: a tie leaves both fields null
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"n": 4, "m": 2, "block_means": [0.7, 0.7]}))
+        code, out, err = run_cli(capsys, "bandit", str(path), "--policy", "cucb", "-T", "5")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["lower_bound_constant"] is None
+        assert data["ratio"] is None
+
     def test_trace_csv_deterministic(self, capsys, instance_file, tmp_path):
         t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(

@@ -8,7 +8,7 @@ import pytest
 from dpconc.cli import main
 from dpconc.kinf import kinf, kinf_inverse, tail_bound_single
 from dpconc.measures import DPSpec, WeightedValues, canonicalize, kl_discrete
-from dpconc.sums import SumSpec, optimal_split, region_radius, sum_tail_bound
+from dpconc.sums import SumSpec, optimal_split, region_radius, sum_tail, sum_tail_bound
 from dpconc.verify import random_measure
 
 BER_HALF = canonicalize([(0.0, 0.5), (1.0, 0.5)])
@@ -356,3 +356,22 @@ def test_huge_concentration_region():
     want = region_radius(SumSpec([DPSpec(1e300, BER_HALF)]), 0.5).radius
     assert math.isfinite(radius)
     assert radius == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("k, alpha", [(3, 1.7e308), (4, 1e308)])
+def test_huge_concentration_sum_tail(k, alpha):
+    # the tail brackets' sums over components pass the float range here
+    u = 0.6 * k
+    result = sum_tail(SumSpec([DPSpec(alpha, BER_HALF)] * k), u)
+    assert result.value == 0.0
+    assert sum(result.split) == pytest.approx(u, rel=1e-14)
+
+
+@pytest.mark.parametrize("k, alpha, delta", [(4, 1.7e308, 0.1), (8, 1e308, 0.1),
+                                             (1, 1.7e308, 1.0 - 1e-16)])
+def test_huge_concentration_sum_region(k, alpha, delta):
+    # spent and its slope pass the float range away from the root, and at
+    # delta near 1 the budget per unit of alpha would underflow; at these
+    # concentrations the budget moves no witness mean by a float
+    radius = region_radius(SumSpec([DPSpec(alpha, BER_HALF)] * k), delta).radius
+    assert radius == pytest.approx(0.5 * k, rel=1e-12)
