@@ -245,7 +245,8 @@ def beta_cgf_bound(a: float, b: float, lam: float) -> float:
     For lam <= a + b, x = s - p is taken from its own rationalized root and
     kl(p, p + x) as p e(x/p) + (1 - p) e(-x/(1 - p)) with e(t) = t - log(1 + t),
     which keeps relative accuracy as lam -> 0, where the bound is
-    lam^2 ab / (2 (a+b)^3) to leading order.  For lam > a + b, where s
+    lam^2 ab / (2 (a+b)^3) to leading order; where x > p, the log(1 + x/p)
+    inside p e(x/p) is taken out of the cancelling terms.  For lam > a + b, where s
     rounds to 1 at large lam, s - p and 1 - s are carried in forms that
     neither cancel nor overflow, up to lam = 1.7e308.
     """
@@ -256,7 +257,9 @@ def beta_cgf_bound(a: float, b: float, lam: float) -> float:
     if lam == 0.0:
         return 0.0
     p = a / (a + b)
-    diff = lam - (a + b)
+    # lam - (a + b) with one rounding where lam is near a + b, which a + b
+    # itself loses where a is below the rounding of b (or b of a)
+    diff = (lam - max(a, b)) - min(a, b)
     root = math.hypot(diff, 2.0 * math.sqrt(lam) * math.sqrt(a))
     q = b / (a + b)
     # s = p is always feasible, so the maximum is nonnegative
@@ -264,8 +267,12 @@ def beta_cgf_bound(a: float, b: float, lam: float) -> float:
         # x solves lam x^2 + (2 lam p - diff) x = lam p q, q = 1 - p, and
         # stays below q / 2 here, so both arguments of e exceed -1
         x = 2.0 * lam * p * q / (2.0 * lam * p - diff + root)
-        kl = p * _excess_log(x / p) + q * _excess_log(-x / q)
-        return max(lam * x - (a + b) * kl, 0.0)
+        if x <= p:
+            kl = p * _excess_log(x / p) + q * _excess_log(-x / q)
+            return max(lam * x - (a + b) * kl, 0.0)
+        # beyond, lam x and (a + b) p e(x/p) cancel: with a / p = a + b the
+        # value is a log(1 + x/p) - b e(-x/q) + diff x
+        return max(a * math.log1p(x / p) - b * _excess_log(-x / q) + diff * x, 0.0)
     # 1 - s = b / d with d = (lam + a + b + root) / 2, and m = d - (a + b)
     # = (diff + root) / 2 (both halved through to stay finite) gives x = q m / d
     # and (1 - p) / (1 - s) = 1 + m / (a + b) with no cancellation in either log

@@ -46,18 +46,23 @@ class DPSample:
         return float(self.weights @ self.values)
 
 
+def _weights(dp: DPSpec, rng: np.random.Generator, size=None) -> tuple[np.ndarray, np.ndarray]:
+    """The positive atoms and ``size`` rows of Dirichlet(alpha * p) weights over them;
+    a lone atom takes weight 1 with no draw, where numpy can return 1 - 2^-53."""
+    v, p = dp.base.positive()
+    if v.size == 1:
+        return v, np.ones(v.shape if size is None else (size, 1))
+    return v, rng.dirichlet(dp.alpha * p, size=size)
+
+
 def sample_exact(dp: DPSpec, rng: np.random.Generator) -> DPSample:
     """Draw one realization over the base's atom set.
 
     Weights over the positive atoms are Dirichlet(alpha * p_1, ...,
     alpha * p_k); zero-weight (ambient) atoms receive weight 0.
     """
-    mask = dp.base.weights > 0
     w = np.zeros_like(dp.base.weights)
-    if int(mask.sum()) == 1:
-        w[mask] = 1.0  # degenerate Dirichlet: skip the (deterministic) draw
-    else:
-        w[mask] = rng.dirichlet(dp.alpha * dp.base.weights[mask])
+    w[dp.base.weights > 0] = _weights(dp, rng)[1]
     return DPSample(dp.base.values.copy(), w)
 
 
@@ -65,8 +70,7 @@ def sample_payoff_means(dp: DPSpec, n: int, rng: np.random.Generator) -> np.ndar
     """n independent draws of E_X[v], vectorized over exact samples."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    v, p = dp.base.positive()
-    w = rng.dirichlet(dp.alpha * p, size=n)
+    v, w = _weights(dp, rng, n)
     return w @ v
 
 
@@ -102,6 +106,15 @@ def sample_stick_breaking(
     return DPSample(rng.choice(v, size=w.size, p=p), w)
 
 
+def _nested_product(conc: float, a: np.ndarray) -> float:
+    """prod_l (conc a_l + l - 1) / (conc + l - 1) over ascending set masses a_l."""
+    if not np.all((a >= 0.0) & (a <= 1.0)):
+        raise ValueError("set masses must lie in [0,1]")
+    # rank offsets precomputed: conc*a + (l-1) must not absorb tiny masses
+    ell0 = np.arange(a.size, dtype=float)
+    return float(np.prod((conc * a + ell0) / (conc + ell0)))
+
+
 def moment_nested(dp: DPSpec, nu0_of_sets) -> float:
     """E[prod_l X(A_l)] for nested measurable sets A_1 c ... c A_m.
 
@@ -111,13 +124,9 @@ def moment_nested(dp: DPSpec, nu0_of_sets) -> float:
     a = np.asarray(list(nu0_of_sets), dtype=float)
     if a.size == 0:
         raise ValueError("need at least one set mass")
-    if np.any(a < 0) or np.any(a > 1):
-        raise ValueError("set masses must lie in [0,1]")
     if np.any(np.diff(a) < 0):
         raise ValueError("set masses must be nondecreasing (nested sets)")
-    # rank offsets precomputed: alpha*a + (l-1) must not absorb tiny masses
-    ell0 = np.arange(a.size, dtype=float)
-    return float(np.prod((dp.alpha * a + ell0) / (dp.alpha + ell0)))
+    return _nested_product(dp.alpha, a)
 
 
 def qk_rk(alpha: float, beta: float, nu0_of_sets, k: int) -> tuple[float, float]:
@@ -135,8 +144,7 @@ def qk_rk(alpha: float, beta: float, nu0_of_sets, k: int) -> tuple[float, float]
     a = np.sort(np.asarray(list(nu0_of_sets), dtype=float))
     if a.size != k:
         raise ValueError(f"expected {k} set masses, got {a.size}")
-    if np.any(a < 0) or np.any(a > 1):
-        raise ValueError("set masses must lie in [0,1]")
+    r = (alpha + beta) ** k * _nested_product(alpha + beta, a)
 
     # Row j of t holds E[prod_{l in S} X(A_l)] at concentration conc[j] for
     # every subset S, indexed by bitmask; pop is |S|.  Appending set b
@@ -150,12 +158,6 @@ def qk_rk(alpha: float, beta: float, nu0_of_sets, k: int) -> tuple[float, float]
         pop = np.concatenate((pop, pop + 1.0))
     # set b is bit b, so the complement of every mask reverses the order
     q = float(np.sum(alpha**pop * beta ** (k - pop) * t[0] * t[1, ::-1]))
-
-    ell0 = np.arange(k, dtype=float)
-    r = float(
-        (alpha + beta) ** k
-        * np.prod(((alpha + beta) * a + ell0) / (alpha + beta + ell0))
-    )
     return q, r
 
 

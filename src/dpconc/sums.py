@@ -142,7 +142,11 @@ def _region(comps, budget: float) -> tuple[float, float, _Outer]:
             dspent += w * dkl
         if spent <= 0.0:
             return math.inf, 0.0
-        return math.log(scaled / spent), -dspent / spent
+        try:
+            return math.log(scaled / spent), -dspent / spent
+        except ValueError:
+            # far from the root the ratio can round to 0: take the logs apart
+            return math.log(scaled) - math.log(spent), -dspent / spent
 
     # spent >= sum_j alpha_j (sum_i p_i log(gap_i / kappa_j) + top_j log top_j),
     # which is exact as lam -> 0; and spent <= sum_j (v_max_j - mean_j) / lam
@@ -239,13 +243,18 @@ def _tail(comps, u: float) -> tuple[float, list[float] | None, float, _Outer]:
     lo = math.log(u - bottom) + math.log(2.0) - spread
     hi = max(below - math.log(tops - u), lo)
     tau = _root(excess, lo, hi, hi, atol=_TAU_TOL)
-    # lam (u - tops) formed in logs: lam itself can pass the float range
-    exponent = -math.exp(tau + math.log(tops - u))
+    # the exponent lam (u - tops) + sum_j alpha_j (gap_j + kl_j), with lam
+    # (tops - u) formed in logs, since lam can pass the float range.  So can
+    # both terms where the exponent does not: they are taken per unit 2^-k, k
+    # the least that brings lam (tops - u) below e^700 (0 almost always)
+    log_gap = tau + math.log(tops - u)
+    unit = 2.0 ** -max(0, math.ceil((log_gap - 700.0) / math.log(2.0)))
+    exponent = -math.exp(log_gap + math.log(unit))
     split = maxima
     for j, (alpha, kappa, (_, _, gap, kl, _)) in zip(outer.live, outer.solve(-tau)):
-        exponent += alpha * (gap + kl)
+        exponent += alpha * unit * (gap + kl)
         split[j] -= kappa * gap
-    return max(exponent, 0.0), split, tau, outer
+    return max(exponent / unit, 0.0), split, tau, outer
 
 
 def sum_tail(spec: SumSpec, u: float) -> SumTailResult:

@@ -171,14 +171,20 @@ def test_criterion_6_sum_region_monte_carlo():
 
 
 def test_criterion_7_tail_exponent_asymptotics():
+    # P(mean >= u) ~ C alpha^(-1/2) exp(-alpha kinf): the two-point rate
+    # (40 s_40 - 20 s_20 - log(2) / 2) / 20 of the exponents s = -log(P) / alpha
+    # takes the prefactor out, at concentrations that see hundreds of hits
     start = time.time()
     rng = np.random.default_rng(0)
-    alpha, u, samples = 80.0, 0.75, 1_000_000
+    u, samples = 0.75, 1_000_000
     reference = kinf(BER_HALF, u).value
-    means = sample_payoff_means(DPSpec(alpha, BER_HALF), samples, rng)
-    hits = int((means >= u).sum())
-    stat = math.inf if hits == 0 else -math.log(hits / samples) / alpha
-    ok = math.isfinite(stat) and abs(stat - reference) / reference <= 0.25
+    stat = {}
+    for alpha in (20.0, 40.0):
+        means = sample_payoff_means(DPSpec(alpha, BER_HALF), samples, rng)
+        hits = int((means >= u).sum())
+        stat[alpha] = math.inf if hits == 0 else -math.log(hits / samples) / alpha
+    rate = (40.0 * stat[40.0] - 20.0 * stat[20.0] - 0.5 * math.log(2.0)) / 20.0
+    ok = math.isfinite(rate) and abs(rate - reference) / reference <= 0.25
     elapsed = time.time() - start
     report(7, "empirical tail exponent near its limit (loose)", ok, elapsed, 120)
 

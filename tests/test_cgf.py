@@ -332,6 +332,16 @@ class TestBetaCgfBound:
             want = beta_cgf_exact(a, b, lam, digits=400)
             assert beta_cgf_bound(a, b, lam) == pytest.approx(want, rel=1e-13, abs=0.0)
 
+    def test_below_a_plus_b_where_a_is_below_the_rounding_of_b(self):
+        # a + b rounds to b, and x / p reaches 1e150: lam x and (a + b) p e(x/p)
+        # cancel in the textbook form
+        pytest.importorskip("mpmath")
+        from oracles import beta_cgf_exact
+
+        want = beta_cgf_exact(1e-300, 1.0, 1.0, digits=800)
+        assert want == pytest.approx(3.4488776394910686e-298, rel=1e-15)
+        assert beta_cgf_bound(1e-300, 1.0, 1.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_conjugate_dominates_kl(self):
         from dpconc.verify import _minimize_convex
 
@@ -368,6 +378,13 @@ class TestDuality:
             u = base.mean + rng.uniform(0.05, 0.95) * (base.v_max - base.mean)
             k = kinf(base, u).value
             assert min_scaled_conjugate(dp, u) == pytest.approx(-alpha * k, abs=1e-6)
+
+    @pytest.mark.parametrize("reference", [min_scaled_conjugate, chernoff_minimum_gamma])
+    @pytest.mark.parametrize("u", [1.0, 1.5, math.nan])
+    def test_level_at_or_above_top_rejected(self, reference, u):
+        # the minimizer lies in [0, alpha / (v_max - u)], empty from u = v_max on
+        with pytest.raises(ValueError):
+            reference(DPSpec(2.0, canonicalize([(0.0, 0.5), (1.0, 0.5)])), u)
 
     def test_gamma_chernoff_minimum_matches_projection(self):
         rng = np.random.default_rng(16)

@@ -27,6 +27,12 @@ class TestSampleExact:
         assert s.weights.tolist() == [1.0]
         assert s.payoff_mean() == 0.3
 
+    @pytest.mark.parametrize("atoms", [[(0.3, 1.0)], [(0.0, 0.0), (0.3, 1.0), (0.9, 0.0)]])
+    def test_payoff_means_of_single_positive_atom(self, atoms):
+        # numpy's one-shape Dirichlet can return 1 - 2^-53: no draw is taken
+        dp = DPSpec(2.0, canonicalize(atoms))
+        assert sample_payoff_means(dp, 6, np.random.default_rng(0)).tolist() == [0.3] * 6
+
     def test_zero_weight_atoms_stay_zero(self):
         dp = DPSpec(2.0, canonicalize([(0.0, 0.5), (0.5, 0.0), (1.0, 0.5)]))
         s = sample_exact(dp, np.random.default_rng(0))

@@ -187,6 +187,28 @@ class TestSumTailBound:
             if radius + eps < sum(c.base.v_max for c in spec.components):
                 assert sum_tail_bound(spec, radius + eps) <= delta * (1 + 1e-6)
 
+    def test_region_inverts_tail(self):
+        # the region at delta = tail(u) reaches back to u; the other direction is
+        # ill-conditioned where a radius lies within about 1e-14 of the maxima
+        rng = np.random.default_rng(31)
+        kept = 0
+        while kept < 500:
+            spec = SumSpec(
+                [
+                    DPSpec(float(np.exp(rng.uniform(np.log(0.05), np.log(200.0)))),
+                           random_measure(rng, int(rng.integers(2, 6))))
+                    for _ in range(int(rng.choice([1, 2, 4])))
+                ]
+            )
+            means = sum(c.base.mean for c in spec.components)
+            tops = sum(c.base.v_max for c in spec.components)
+            u = means + float(rng.uniform(0.05, 0.95)) * (tops - means)
+            value = sum_tail(spec, u).value
+            if not math.exp(-40.0) <= value <= 0.99:
+                continue
+            kept += 1
+            assert abs(region_radius(spec, value).radius - u) <= 1e-12 * (tops - means)
+
 
 class TestOptimalSplit:
     def test_identical_components_split_equally(self):
@@ -358,9 +380,11 @@ def test_huge_concentration_region():
     assert radius == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("k, alpha", [(3, 1.7e308), (4, 1e308)])
+@pytest.mark.parametrize("k, alpha", [(3, 1.7e308), (4, 1e308), (8, 1.7e308)])
 def test_huge_concentration_sum_tail(k, alpha):
-    # the tail brackets' sums over components pass the float range here
+    # the tail brackets' sums over components pass the float range here, and
+    # at k = 8 so do lam (tops - u) and sum_j alpha_j (gap_j + kl_j), while
+    # the exponent itself, about 2.8e307, does not
     u = 0.6 * k
     result = sum_tail(SumSpec([DPSpec(alpha, BER_HALF)] * k), u)
     assert result.value == 0.0
@@ -368,10 +392,12 @@ def test_huge_concentration_sum_tail(k, alpha):
 
 
 @pytest.mark.parametrize("k, alpha, delta", [(4, 1.7e308, 0.1), (8, 1e308, 0.1),
-                                             (1, 1.7e308, 1.0 - 1e-16)])
+                                             (1, 1.7e308, 1.0 - 1e-16),
+                                             (2, 1e308, 1.0 - 2**-53)])
 def test_huge_concentration_sum_region(k, alpha, delta):
     # spent and its slope pass the float range away from the root, and at
-    # delta near 1 the budget per unit of alpha would underflow; at these
+    # delta near 1 the budget per unit of alpha would underflow, or its
+    # ratio to spent (log(budget / spent) is then taken as a difference); at these
     # concentrations the budget moves no witness mean by a float
     radius = region_radius(SumSpec([DPSpec(alpha, BER_HALF)] * k), delta).radius
     assert radius == pytest.approx(0.5 * k, rel=1e-12)
