@@ -34,9 +34,9 @@ def main() -> None:
     print(f"{'policy':>8} {'mean R_T':>12} {'R_T/log T':>12} {'ratio':>8} {'secs':>7}")
 
     for policy in args.policies:
-        t0 = time.time()
+        t0 = time.perf_counter()
         traces = run_experiment(instance, policy, args.T, args.reps, args.seed)
-        elapsed = time.time() - t0
+        elapsed = time.perf_counter() - t0
         s = run_summary(instance, policy, args.seed, traces)
         print(f"{policy:>8} {s['mean_RT']:12.3f} {s['RT_over_logT']:12.4f} "
               f"{s['ratio']:8.3f} {elapsed:7.2f}")

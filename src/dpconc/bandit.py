@@ -76,31 +76,59 @@ class BanditInstance:
         return cls(data["n"], data["m"], data["block_means"])
 
 
+def _integer(value, name: str) -> int:
+    try:
+        k = int(value)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != value:
+        raise ValueError(f"{name} must be integers, got {value!r}")
+    return k
+
+
 @dataclass
 class PolicyState:
-    """Per-arm observation counts and success counts at round t."""
+    """Per-arm observation counts and success counts at round t.
 
-    counts: np.ndarray
-    successes: np.ndarray
+    ``counts`` and ``successes`` are lists of Python ints, converted once
+    here from any sequence of integral values (numpy arrays included), so
+    that a round reads them with no numpy call.  A state must hold equal
+    numbers of counts and successes, 0 <= successes <= counts per arm, and
+    an integral round t >= 1; anything else raises ``ValueError``.
+    """
+
+    counts: list[int]
+    successes: list[int]
     t: int = 1
+
+    def __post_init__(self):
+        self.counts = [_integer(c, "counts") for c in self.counts]
+        self.successes = [_integer(s, "successes") for s in self.successes]
+        self.t = _integer(self.t, "t")
+        if len(self.counts) != len(self.successes):
+            raise ValueError(f"{len(self.counts)} counts but {len(self.successes)} successes")
+        if any(not 0 <= s <= c for c, s in zip(self.counts, self.successes)):
+            raise ValueError("successes must lie in [0, counts] per arm")
+        if self.t < 1:
+            raise ValueError(f"the round t must be >= 1, got {self.t}")
 
     @classmethod
     def fresh(cls, n: int) -> "PolicyState":
-        return cls(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+        return cls([0] * n, [0] * n)
 
     @property
-    def means(self) -> np.ndarray:
+    def means(self) -> list[float]:
         """Empirical means, 0 for unseen arms."""
-        out = np.zeros(len(self.counts))
-        seen = self.counts > 0
-        out[seen] = self.successes[seen] / self.counts[seen]
-        return out
+        return [s / c if c else 0.0 for c, s in zip(self.counts, self.successes)]
 
     def update(self, arms, outcomes) -> None:
-        """Count one observation of each of ``arms`` (an index, a slice or a
-        sequence of distinct arms) with its 0/1 outcome."""
-        self.counts[arms] += 1
-        self.successes[arms] += outcomes
+        """Count one observation of each of ``arms`` (a range or a sequence
+        of distinct arms) with its 0/1 outcome, stored as a Python int: a
+        numpy bool added to an int entry would make it a numpy integer."""
+        counts, successes = self.counts, self.successes
+        for k, outcome in zip(arms, outcomes, strict=True):
+            counts[k] += 1
+            successes[k] += int(outcome)
         self.t += 1
 
 
@@ -112,17 +140,66 @@ class RegretTrace:
     cum_regret: np.ndarray
 
 
-def _block_argmax(instance: BanditInstance, per_arm: np.ndarray) -> int:
-    sums = per_arm.reshape(-1, instance.m).sum(axis=1)
-    return int(sums.argmax())  # ties resolve to the lowest block index
+def _check_width(instance: BanditInstance, state: PolicyState) -> None:
+    if len(state.counts) != instance.n:
+        raise ValueError(f"the state has {len(state.counts)} arms, the instance {instance.n}")
+
+
+def _pairwise(x: list[float], lo: int, hi: int) -> float:
+    # numpy's order for a row of 8 or more: 8 running sums combined as a
+    # tree and then the tail, up to 128 terms; halves cut at a multiple of 8
+    # above.  The leading 0.0 is numpy's starting value.
+    n = hi - lo
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise(x, lo, lo + half) + _pairwise(x, lo + half, hi)
+    r0, r1, r2, r3, r4, r5, r6, r7 = x[lo:lo + 8]
+    end = hi - n % 8
+    for i in range(lo + 8, end, 8):
+        r0 += x[i]
+        r1 += x[i + 1]
+        r2 += x[i + 2]
+        r3 += x[i + 3]
+        r4 += x[i + 4]
+        r5 += x[i + 5]
+        r6 += x[i + 6]
+        r7 += x[i + 7]
+    s = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+    for v in x[end:hi]:
+        s += v
+    return s
+
+
+def _block_sums(per_arm: list[float], m: int) -> list[float]:
+    """Sums of the consecutive width-m blocks of ``per_arm``, bit for bit
+    those of ``np.asarray(per_arm).reshape(-1, m).sum(axis=1)``."""
+    if m >= 8:
+        return [_pairwise(per_arm, lo, lo + m) for lo in range(0, len(per_arm), m)]
+    sums = []
+    for lo in range(0, len(per_arm), m):
+        s = 0.0  # numpy adds fewer than 8 terms left to right
+        for v in per_arm[lo:lo + m]:
+            s += v
+        sums.append(s)
+    return sums
+
+
+def _argmax(values: list[float]) -> int:
+    return values.index(max(values))  # the first of equal maxima, as numpy's
 
 
 def cts_step(instance: BanditInstance, state: PolicyState, rng: np.random.Generator) -> int:
-    """Posterior-sampling step: Beta(1 + successes, 1 + failures) per arm."""
-    a = 1.0 + state.successes
-    b = 1.0 + (state.counts - state.successes)
-    theta_plus = rng.beta(a, b)
-    return _block_argmax(instance, theta_plus)
+    """Posterior-sampling step: Beta(1 + successes, 1 + failures) per arm.
+
+    One scalar ``rng.beta`` call per arm, in arm order.  ``Generator.beta``
+    on arrays draws element by element in that order from the same bit
+    generator, so these are the values one array call would give, at a
+    fraction of its cost on a few arms.  Ties go to the lowest block.
+    """
+    _check_width(instance, state)
+    beta = rng.beta
+    theta = [beta(1.0 + s, 1.0 + (c - s)) for c, s in zip(state.counts, state.successes)]
+    return _argmax(_block_sums(theta, instance.m))
 
 
 def _bernoulli(mean: float) -> _View:
@@ -131,40 +208,40 @@ def _bernoulli(mean: float) -> _View:
     return _View(0.0, 1.0, mean, mean, [(1.0 - mean, 0.0)] if mean < 1.0 else [])
 
 
-def _cucb_indices(instance: BanditInstance, state: PolicyState) -> np.ndarray:
+def _cucb_indices(instance: BanditInstance, state: PolicyState) -> list[float]:
     """Per-arm KL-UCB indices: kinf_inverse at budget log(t)/N, 1 if unseen."""
-    u = np.ones(instance.n)
     logt = math.log(state.t)
-    for k, (count, mean) in enumerate(zip(state.counts.tolist(), state.means.tolist())):
-        if count > 0:
-            u[k] = _region([(1.0, _bernoulli(mean))], logt / count)[0]
-    return u
+    return [_region([(1.0, _bernoulli(s / c))], logt / c)[0] if c else 1.0
+            for c, s in zip(state.counts, state.successes)]
 
 
 def cucb_kl_step(instance: BanditInstance, state: PolicyState) -> int:
     """Per-arm KL upper confidence bounds with exploration budget log(t)/N."""
-    return _block_argmax(instance, _cucb_indices(instance, state))
+    _check_width(instance, state)
+    return _argmax(_block_sums(_cucb_indices(instance, state), instance.m))
 
 
-def _escb_indices(instance: BanditInstance, state: PolicyState) -> np.ndarray:
+def _escb_indices(instance: BanditInstance, state: PolicyState) -> list[float]:
     """Per-block radii of the joint KL region at level 1/(t log^2(t+1)),
     m for a block with an unseen arm."""
     delta = 1.0 / (state.t * math.log(state.t + 1.0) ** 2)
     budget = -math.log(min(delta, 1.0 - 1e-12))
-    counts, means = state.counts.tolist(), state.means.tolist()
-    indices = np.empty(instance.n_blocks)
+    counts, successes = state.counts, state.successes
+    indices = []
     for j in range(instance.n_blocks):
         arms = instance.block_arms(j)
         if any(counts[k] == 0 for k in arms):
-            indices[j] = instance.m  # maximal optimism for unseen arms
+            indices.append(float(instance.m))  # maximal optimism for unseen arms
         else:
-            indices[j] = _region([(float(counts[k]), _bernoulli(means[k])) for k in arms], budget)[0]
+            region = [(float(counts[k]), _bernoulli(successes[k] / counts[k])) for k in arms]
+            indices.append(_region(region, budget)[0])
     return indices
 
 
 def escb_kl_step(instance: BanditInstance, state: PolicyState) -> int:
     """Joint KL confidence region per block at level 1/(t log^2(t+1))."""
-    return int(_escb_indices(instance, state).argmax())
+    _check_width(instance, state)
+    return _argmax(_escb_indices(instance, state))
 
 
 def lower_bound_constant(instance: BanditInstance) -> float:
@@ -186,7 +263,7 @@ _STEPS = {
     "cucb": lambda inst, st, rng: cucb_kl_step(inst, st),
     "escb": lambda inst, st, rng: escb_kl_step(inst, st),
     "oracle": lambda inst, st, rng: 0,
-    "worst": lambda inst, st, rng: int(np.argmin(inst.block_means)),
+    "worst": lambda inst, st, rng: inst.block_means.index(min(inst.block_means)),
 }
 POLICIES = tuple(_STEPS)
 
@@ -205,18 +282,19 @@ def run_experiment(
         raise ValueError(f"unknown policy {policy!r}")
     step = _STEPS[policy]
     m = instance.m
-    theta = instance.theta
+    theta = instance.theta.tolist()
     means = np.asarray(instance.block_means)
     regret = m * (means[0] - means)
     traces = []
     for child in np.random.SeedSequence(seed).spawn(reps):
         rng = np.random.default_rng(child)
+        draw = rng.random  # one scalar draw per arm gives the values of rng.random(m)
         state = PolicyState.fresh(instance.n)
         actions = [0] * T
         for t in range(T):
             j = actions[t] = step(instance, state, rng)
-            arms = slice(j * m, j * m + m)
-            state.update(arms, rng.random(m) < theta[arms])
+            arms = range(j * m, j * m + m)
+            state.update(arms, [draw() < theta[k] for k in arms])
         actions = np.array(actions, dtype=np.int64)
         traces.append(RegretTrace(actions, np.cumsum(regret[actions])))
     return traces

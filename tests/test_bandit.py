@@ -1,12 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from dpconc.bandit import (
+    POLICIES,
     BanditInstance,
     PolicyState,
     _bernoulli,
+    _block_sums,
     _cucb_indices,
     _escb_indices,
     cts_step,
@@ -16,6 +19,7 @@ from dpconc.bandit import (
     run_experiment,
 )
 from dpconc.cgf import _atoms
+from dpconc.cli import write_trace
 from dpconc.kinf import kinf_inverse
 from dpconc.measures import DPSpec, canonicalize, kl_bernoulli
 from dpconc.sums import SumSpec, region_radius
@@ -24,13 +28,13 @@ INSTANCE = BanditInstance(4, 2, [0.9, 0.6])
 
 
 class FixedBetaRng:
-    """Stub generator returning a preset per-arm sample."""
+    """Stub generator answering the per-arm beta calls with preset values."""
 
     def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
+        self.values = [float(v) for v in values]
 
     def beta(self, a, b):
-        return self.values.copy()
+        return self.values.pop(0)
 
 
 def bernoulli_base(mean):
@@ -64,10 +68,10 @@ def random_states(instance, rng, count):
 @pytest.mark.parametrize("instance", [INSTANCE, BanditInstance(9, 3, [0.8, 0.5, 0.3])])
 def test_indices_match_public_solvers_bitwise(instance):
     for state in random_states(instance, np.random.default_rng(23), 40):
-        counts, means = state.counts.tolist(), state.means.tolist()
+        counts, means = np.asarray(state.counts).tolist(), np.asarray(state.means).tolist()
         ucb = [kinf_inverse(bernoulli_base(p), math.log(state.t) / c) if c > 0 else 1.0
                for c, p in zip(counts, means)]
-        assert _cucb_indices(instance, state).tobytes() == np.array(ucb).tobytes()
+        assert np.array(_cucb_indices(instance, state)).tobytes() == np.array(ucb).tobytes()
         delta = min(1.0 / (state.t * math.log(state.t + 1.0) ** 2), 1.0 - 1e-12)
         radii = []
         for j in range(instance.n_blocks):
@@ -77,7 +81,18 @@ def test_indices_match_public_solvers_bitwise(instance):
                 continue
             spec = SumSpec(DPSpec(float(counts[k]), bernoulli_base(means[k])) for k in arms)
             radii.append(region_radius(spec, delta).radius)
-        assert _escb_indices(instance, state).tobytes() == np.array(radii).tobytes()
+        assert np.array(_escb_indices(instance, state)).tobytes() == np.array(radii).tobytes()
+
+
+@pytest.mark.parametrize("m", list(range(1, 41)) + [127, 128, 129, 300])
+def test_block_sums_match_numpy_bitwise(m):
+    # numpy sums each row pairwise, so a left-to-right sum differs from m = 8
+    rng = np.random.default_rng(m)
+    for _ in range(50):
+        size = m * int(rng.integers(1, 5))
+        x = rng.random(size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+        want = np.asarray(x).reshape(-1, m).sum(axis=1)
+        assert np.array(_block_sums(x.tolist(), m)).tobytes() == want.tobytes()
 
 
 class TestBanditInstance:
@@ -135,16 +150,18 @@ class TestCtsStep:
         state = PolicyState(
             counts=np.array([4, 4, 0, 0]), successes=np.array([3, 2, 0, 0])
         )
-        seen = {}
+        seen = {"a": [], "b": []}
+        draws = [0.5, 0.5, 0.4, 0.4]
 
         class Capture:
             def beta(self, a, b):
-                seen["a"], seen["b"] = a.copy(), b.copy()
-                return np.array([0.5, 0.5, 0.4, 0.4])
+                seen["a"].append(a)
+                seen["b"].append(b)
+                return draws[len(seen["a"]) - 1]
 
         cts_step(INSTANCE, state, Capture())
-        assert seen["a"].tolist() == [4.0, 3.0, 1.0, 1.0]
-        assert seen["b"].tolist() == [2.0, 3.0, 1.0, 1.0]
+        assert seen["a"] == [4.0, 3.0, 1.0, 1.0]
+        assert seen["b"] == [2.0, 3.0, 1.0, 1.0]
 
 
 class TestCucbStep:
@@ -273,18 +290,18 @@ class TestRunExperiment:
         state = PolicyState.fresh(inst.n)
         chosen = np.zeros(inst.n_blocks, dtype=int)
         for t in range(60):
-            before = state.counts.copy()
+            before = np.array(state.counts)
             j = cts_step(inst, state, rng)
             arms = list(inst.block_arms(j))
             outcomes = rng.random(inst.m) < theta[arms]
             state.update(arms, outcomes)
             chosen[j] += 1
-            delta = state.counts - before
+            delta = np.asarray(state.counts) - before
             assert delta.sum() == inst.m
             assert np.all(delta[arms] == 1)
-        assert state.counts.sum() == 60 * inst.m
+        assert np.asarray(state.counts).sum() == 60 * inst.m
         for j in range(inst.n_blocks):
-            assert np.all(state.counts[list(inst.block_arms(j))] == chosen[j])
+            assert np.all(np.asarray(state.counts)[list(inst.block_arms(j))] == chosen[j])
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -302,6 +319,55 @@ class TestRunExperiment:
             assert len(traces[0].actions) == 40
             # forced exploration reaches both blocks
             assert set(traces[0].actions.tolist()) == {0, 1}
+
+
+# sha256 of the trace CSV of 2 reps per run, as written by the array-based
+# round loop this package had before its rounds moved to Python scalars
+PINNED_INSTANCES = {"paper": (4, 2, (0.9, 0.6)), "wide": (16, 8, (0.9, 0.85))}
+PINNED_HORIZONS = {"cts": 2000, "cucb": 200, "escb": 200, "oracle": 200, "worst": 200}
+PINNED_TRACES = {
+    ("paper", "cts", 0): "df78a60b317361c5508dc8e844571b24d9efabae53c3e2c27839d6597c31fec1",
+    ("paper", "cts", 1): "e0099c156ce08cccdf6e7893afb0aaceb468377a71e4108d75e0278afd38cdea",
+    ("paper", "cts", 7): "de56dff055fbddeb1fe6a96ceaec750b2e1725a8e97fe44fba877db3287fb7cd",
+    ("paper", "cucb", 0): "4bea497e5e1fa5fe3632d1ac54f4be964620ada5dae27dd4f082aa76d2c153c1",
+    ("paper", "cucb", 1): "0a48549c459ff11cac6cfd499fb61d06f32b3989743b9b14e47e447be453e0d4",
+    ("paper", "cucb", 7): "e8acfe67dabc8574233c32e32f2c3c048e1fabf22a362545ccd144c461553a3b",
+    ("paper", "escb", 0): "88e3f7b00d667e44e89d313c01524053896b47c944ae4f5f4dc8e08ce19eca96",
+    ("paper", "escb", 1): "2ad80dec482f9558755190f89b532f564a15ef1d1f9f62e321179ae0251601e2",
+    ("paper", "escb", 7): "0e27f425ae9f75c9442d5a6b9b421c0c018b2679b9a6120aa0972cf729af0191",
+    ("paper", "oracle", 0): "7f19dd0d4cdd77f06555c4c0670943366d3cc9c76817eca98dd0b1f21c527a9d",
+    ("paper", "oracle", 1): "7f19dd0d4cdd77f06555c4c0670943366d3cc9c76817eca98dd0b1f21c527a9d",
+    ("paper", "oracle", 7): "7f19dd0d4cdd77f06555c4c0670943366d3cc9c76817eca98dd0b1f21c527a9d",
+    ("paper", "worst", 0): "9da61f06acd4469299672f6abff93ffe27fa858b73c3c3a6b9fabd9854e4d814",
+    ("paper", "worst", 1): "9da61f06acd4469299672f6abff93ffe27fa858b73c3c3a6b9fabd9854e4d814",
+    ("paper", "worst", 7): "9da61f06acd4469299672f6abff93ffe27fa858b73c3c3a6b9fabd9854e4d814",
+    ("wide", "cts", 0): "faaa9ca5a7c30148ae49d1c5d0e4554ecf9151f069cdd594f1f96562d447a189",
+    ("wide", "cts", 1): "8bda7449eff9ac1b0d3881f8d1f409d4959f7da331089c80af4f216c1d2cd07f",
+    ("wide", "cts", 7): "be2f6642f8646961d7e6d39fc434a51e89e489d77172061838648600b8e3f433",
+    ("wide", "cucb", 0): "6de002dfb8fb1a5090097c7205e77545a2b11a0d5bb0b80f6640c8867b119aa3",
+    ("wide", "cucb", 1): "fc79ab9a833ad283999df0ea5e0feb1cf564ff2e322eedefeec416cb6589fdb9",
+    ("wide", "cucb", 7): "196542b61fa4ad89a03a3283e79559b83a5cb4cb948d1ae3d4f145e1d95ce34e",
+    ("wide", "escb", 0): "2dfb48ccb8b1d47790d4e7a0ad397e36d905c79177ef6c7a9a6816092706d527",
+    ("wide", "escb", 1): "cca505adad31b05b534fc4681c92281c445b5725af7e18b9e398dc2cebbdbece",
+    ("wide", "escb", 7): "afef8c3760aa764bc7dccd67b6bbe3abc5e295441d40392753c31fa6a1f3990b",
+    ("wide", "oracle", 0): "7f19dd0d4cdd77f06555c4c0670943366d3cc9c76817eca98dd0b1f21c527a9d",
+    ("wide", "oracle", 1): "7f19dd0d4cdd77f06555c4c0670943366d3cc9c76817eca98dd0b1f21c527a9d",
+    ("wide", "oracle", 7): "7f19dd0d4cdd77f06555c4c0670943366d3cc9c76817eca98dd0b1f21c527a9d",
+    ("wide", "worst", 0): "a4181091f51ef2a7863e6a5f4b1a64ea4aa4d157cefc60823c30758cd2f47cca",
+    ("wide", "worst", 1): "a4181091f51ef2a7863e6a5f4b1a64ea4aa4d157cefc60823c30758cd2f47cca",
+    ("wide", "worst", 7): "a4181091f51ef2a7863e6a5f4b1a64ea4aa4d157cefc60823c30758cd2f47cca",
+}
+
+
+@pytest.mark.parametrize("name", PINNED_INSTANCES)
+@pytest.mark.parametrize("policy", POLICIES)
+def test_traces_are_pinned(name, policy, tmp_path):
+    instance = BanditInstance(*PINNED_INSTANCES[name])
+    for seed in (0, 1, 7):
+        path = tmp_path / f"{seed}.csv"
+        write_trace(path, run_experiment(instance, policy, PINNED_HORIZONS[policy], 2, seed))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == PINNED_TRACES[name, policy, seed], (name, policy, seed)
 
 
 class TestLowerBoundConstant:
@@ -377,6 +443,60 @@ class TestPolicyStateInvariants:
             j = cts_step(INSTANCE, state, rng)
             arms = list(INSTANCE.block_arms(j))
             state.update(arms, rng.random(2) < 0.5)
-        prod = state.means * state.counts
+        means, counts = np.asarray(state.means), np.asarray(state.counts)
+        prod = means * counts
         assert np.allclose(prod, np.round(prod), atol=1e-9)
-        assert np.all(state.means[state.counts == 0] == 0.0)
+        assert np.all(means[counts == 0] == 0.0)
+
+    def test_update_keeps_python_ints(self):
+        state = PolicyState(np.array([1, 2, 0, 0]), np.array([1, 0, 0, 0]), np.int64(3))
+        state.update(range(2, 4), np.array([True, False]))
+        state.update([0, 3], [np.True_, 1])
+        assert state.counts == [2, 2, 1, 2] and state.successes == [2, 0, 1, 1]
+        assert state.t == 5
+        assert all(type(v) is int for v in state.counts + state.successes + [state.t])
+        with pytest.raises(ValueError):
+            state.update([0, 1], [True])
+
+
+class TestPolicyStateValidation:
+    def test_successes_above_counts_rejected(self):
+        # the index would be taken from a base with weight -0.5
+        with pytest.raises(ValueError, match="successes"):
+            PolicyState([4, 4, 4, 4], [6, 2, 1, 1], 3)
+        with pytest.raises(ValueError, match="successes"):
+            PolicyState([4, 4, 4, 4], [2, -1, 1, 1], 3)
+        with pytest.raises(ValueError, match="successes"):
+            PolicyState([4, -1, 4, 4], [2, 0, 1, 1], 3)
+
+    def test_non_integral_values_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            PolicyState([4.5, 4, 4, 4], [2, 2, 1, 1], 3)
+        with pytest.raises(ValueError, match="integers"):
+            PolicyState(np.array([4, 4, 4, 4]), np.array([2.0, 2.5, 1.0, 1.0]), 3)
+        for value in (math.nan, math.inf, "4"):
+            with pytest.raises(ValueError, match="integers"):
+                PolicyState([value, 4, 4, 4], [2, 2, 1, 1], 3)
+        state = PolicyState(np.array([4.0, 4.0]), np.array([2, 1]), 3.0)
+        assert (state.counts, state.t) == ([4, 4], 3)
+
+    def test_round_must_be_a_positive_integer(self):
+        for t in (0, -2, 2.5, math.nan):
+            with pytest.raises(ValueError):
+                PolicyState([4, 4, 4, 4], [2, 2, 1, 1], t)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="counts but"):
+            PolicyState([4, 4, 4], [2, 2, 1, 1], 3)
+
+    def test_state_of_another_width_rejected(self):
+        state = PolicyState([4, 4, 4], [2, 2, 1], 3)
+        with pytest.raises(ValueError, match="arms"):
+            cts_step(INSTANCE, state, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="arms"):
+            cucb_kl_step(INSTANCE, state)
+        with pytest.raises(ValueError, match="arms"):
+            escb_kl_step(INSTANCE, state)
+        wide = PolicyState([4] * 6, [2] * 6, 3)
+        with pytest.raises(ValueError, match="arms"):
+            cucb_kl_step(INSTANCE, wide)
