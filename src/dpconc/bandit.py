@@ -276,6 +276,7 @@ def run_experiment(
     Replications get independent generator streams spawned from the
     seed; outcomes are drawn only for arms in the chosen block.
     """
+    T, reps = _integer(T, "T and reps"), _integer(reps, "T and reps")
     if T < 1 or reps < 1:
         raise ValueError("T and reps must be >= 1")
     if policy not in _STEPS:

@@ -102,7 +102,8 @@ def _root(f, lo: float, hi: float, x: float, atol: float = 0.0) -> float:
 class _View(NamedTuple):
     """A base as the solvers read it: its range and mean, its mass at the top
     value and (p_i, log(v_max - v_i)) for the positive atoms below it.  With
-    none below, the base is the point mass at its top, and its mean v_max."""
+    none below, the base is the point mass at its top, and its mean v_max.
+    Every field is a Python float, read by the solvers with no numpy call."""
 
     v_min: float
     v_max: float
@@ -112,12 +113,16 @@ class _View(NamedTuple):
 
 
 def _atoms(base: WeightedValues) -> _View:
-    """The solver view of ``base``."""
-    below = np.flatnonzero(base.weights[:-1] > 0.0)
-    gaps = base.v_max - base.values[below]
-    terms = list(zip(base.weights[below].tolist(), np.log(gaps).tolist()))
-    mean = base.mean if terms else base.v_max
-    return _View(base.v_min, base.v_max, mean, float(base.weights[-1]), terms)
+    """The solver view of ``base``, from one list of its values and one of its
+    weights.  numpy takes only the log of the gaps, which ``math.log`` rounds
+    differently on some inputs, and the dot product of ``base.mean``."""
+    values, weights = base.values.tolist(), base.weights.tolist()
+    below = [(w, values[-1] - v) for v, w in zip(values, weights[:-1]) if w > 0.0]
+    if not below:
+        return _View(values[0], values[-1], values[-1], weights[-1], [])
+    p, gaps = zip(*below)
+    terms = list(zip(p, np.log(gaps).tolist()))
+    return _View(values[0], values[-1], base.mean, weights[-1], terms)
 
 
 def _conjugate(top: float, terms, ell: float, r: float = 1.0):
@@ -184,35 +189,37 @@ def cgf_bound(dp: DPSpec) -> CgfBoundResult:
     alpha = dp.alpha
     view = _atoms(base)
     r, q_below, gap, kl, _ = _conjugate(view.top, view.terms, math.log(alpha))
-    value = base.v_max - alpha * (gap + kl)
+    value = view.v_max - alpha * (gap + kl)
     witness, boundary_mass = _witness(base, r, q_below)
-    return CgfBoundResult(value, base.v_max + alpha * r, boundary_mass, witness)
+    return CgfBoundResult(value, view.v_max + alpha * r, boundary_mass, witness)
 
 
 def _witness(base: WeightedValues, r: float, q_below) -> tuple[WeightedValues, float]:
     """Witness measure on the atoms of ``base`` from a :func:`_conjugate`
-    solution, and the boundary mass it puts on an ambient top."""
-    top = float(base.weights[-1])
-    q = np.zeros_like(base.weights)
-    q[np.flatnonzero(base.weights[:-1] > 0.0)] = q_below
+    solution, filled in a list and normalized by numpy's sum in one array,
+    and the boundary mass it puts on an ambient top."""
+    *below, top = base.weights.tolist()
+    solved = iter(q_below)
+    q = np.array([next(solved) if w > 0.0 else 0.0 for w in below]
+                 + [top / r if top > 0.0 else 0.0])
     boundary_mass = 0.0
-    if top > 0.0:
-        q[-1] = top / r
-    elif r == 0.0:
+    if r == 0.0:  # the boundary branch, which has no top mass
         boundary_mass = q[-1] = max(1.0 - float(q.sum()), 0.0)
     return WeightedValues(base.values, q / q.sum()), boundary_mass
 
 
 def cgf_bound_scaled(dp: DPSpec, lam: float, u: float) -> float:
     """Conjugate bound for the recentered, rescaled payoff lam * (v - u)."""
-    if not lam >= 0.0:
-        raise ValueError("lam must be nonnegative")
+    if math.isnan(u):
+        raise ValueError("u must not be NaN")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be nonnegative and finite, got {lam!r}")
     if lam == 0.0:
         return 0.0
     # the gaps to the top scale by lam, so the concentration scales by 1/lam
     view = _atoms(dp.base)
     _, _, gap, kl, _ = _conjugate(view.top, view.terms, math.log(dp.alpha) - math.log(lam))
-    return lam * (dp.base.v_max - u) - dp.alpha * (gap + kl)
+    return lam * (view.v_max - u) - dp.alpha * (gap + kl)
 
 
 def gamma_log_mgf(dp: DPSpec) -> float:
@@ -250,10 +257,10 @@ def beta_cgf_bound(a: float, b: float, lam: float) -> float:
     rounds to 1 at large lam, s - p and 1 - s are carried in forms that
     neither cancel nor overflow, up to lam = 1.7e308.
     """
-    if not (a > 0 and b > 0):
-        raise ValueError("a and b must be positive")
-    if not lam >= 0.0:
-        raise ValueError("lam must be nonnegative")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError(f"a and b must be positive and finite, got a={a!r}, b={b!r}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be nonnegative and finite, got {lam!r}")
     if lam == 0.0:
         return 0.0
     p = a / (a + b)

@@ -53,7 +53,9 @@ class WeightedValues:
     ``values`` are strictly increasing finite floats; ``weights`` are
     nonnegative and sum to 1 (within ``WEIGHT_SUM_TOL``).  Zero-weight
     atoms carry ambient payoff levels.  Construct through
-    :func:`canonicalize` unless the arrays are already canonical.
+    :func:`canonicalize` unless the arrays are already canonical.  A valid
+    measure is accepted in three array reductions: neighbouring values, least
+    weight and weight sum; one that fails is checked rule by rule for the message.
     """
 
     values: np.ndarray
@@ -68,6 +70,12 @@ class WeightedValues:
             raise ValueError("values and weights must be 1-D arrays of equal length")
         if v.size == 0:
             raise ValueError("at least one atom is required")
+        # increasing values with finite ends are all finite (NaN fails the
+        # comparison), and nonnegative weights summing to 1 are all finite
+        if ((v[1:] > v[:-1]).all() and math.isfinite(v[0]) and math.isfinite(v[-1])
+                and w.min() >= 0.0 and abs(float(w.sum()) - 1.0) <= WEIGHT_SUM_TOL):
+            return
+        # some rule fails: find the first, in the order of the messages
         if not np.isfinite(v).all():
             raise ValueError("values must be finite")
         if not (v[1:] > v[:-1]).all():

@@ -313,6 +313,25 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(INSTANCE, "cts", 10, 0, 0)
 
+    @pytest.mark.parametrize("policy", ["cts", "oracle"])
+    def test_integral_floats_accepted(self, policy):
+        got = run_experiment(INSTANCE, policy, 10.0, 2.0, 0)
+        want = run_experiment(INSTANCE, policy, 10, 2, 0)
+        assert len(got) == 2
+        for g, w in zip(got, want):
+            assert g.actions.tobytes() == w.actions.tobytes()
+            assert g.cum_regret.tobytes() == w.cum_regret.tobytes()
+
+    @pytest.mark.parametrize("bad", [10.5, math.nan, math.inf])
+    def test_non_integral_horizon_rejected(self, bad):
+        with pytest.raises(ValueError, match="T and reps must be integers"):
+            run_experiment(INSTANCE, "cts", bad, 1, 0)
+
+    @pytest.mark.parametrize("bad", [1.5, math.nan, math.inf])
+    def test_non_integral_reps_rejected(self, bad):
+        with pytest.raises(ValueError, match="T and reps must be integers"):
+            run_experiment(INSTANCE, "cts", 10, bad, 0)
+
     def test_cucb_and_escb_run(self):
         for policy in ("cucb", "escb"):
             traces = run_experiment(INSTANCE, policy, 40, 1, 3)

@@ -188,6 +188,15 @@ class TestCgfBoundScaled:
         with pytest.raises(ValueError):
             cgf_bound_scaled(DPSpec(1.0, canonicalize(atoms)), math.nan, 0.0)
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_nan_level_rejected(self, lam):
+        with pytest.raises(ValueError, match="u must not be NaN"):
+            cgf_bound_scaled(DPSpec(2.0, BER_HALF), lam, math.nan)
+
+    def test_infinite_lambda_rejected(self):
+        with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
+            cgf_bound_scaled(DPSpec(2.0, BER_HALF), math.inf, 0.5)
+
 
 class TestGammaLogMgf:
     def test_zero_payoff(self):
@@ -260,6 +269,17 @@ class TestBetaCgfBound:
             beta_cgf_bound(1.0, 1.0, -0.5)
         with pytest.raises(ValueError):
             beta_cgf_bound(1.0, 1.0, math.nan)
+
+    @pytest.mark.parametrize("a, b", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
+                                      (1.0, math.nan), (math.inf, math.inf)])
+    def test_non_finite_shape_rejected(self, a, b):
+        with pytest.raises(ValueError, match="a and b must be positive and finite"):
+            beta_cgf_bound(a, b, 1.0)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, -math.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
+            beta_cgf_bound(1.0, 1.0, lam)
 
     @settings(max_examples=60)
     @given(

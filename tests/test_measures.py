@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -149,7 +150,111 @@ class TestCanonicalize:
         assert m == again
 
 
+NAN, INF = math.nan, math.inf
+HALVES = [0.25, 0.25, 0.5]
+
+
 class TestWeightedValuesValidation:
+    """Each rejection and its message, and the accepted edges: the first rule
+    a measure breaks names the error, in the order finite values, increasing
+    values, finite nonnegative weights, unit sum."""
+
+    @pytest.mark.parametrize("values, weights", [
+        ([NAN, 1.0, 2.0], HALVES),
+        ([0.0, NAN, 2.0], HALVES),
+        ([0.0, 1.0, NAN], HALVES),
+        ([NAN], [1.0]),
+        ([INF], [1.0]),
+        ([-INF], [1.0]),
+        ([-INF, 1.0, 2.0], HALVES),
+        ([0.0, 1.0, INF], HALVES),
+        ([0.0, NAN, 2.0], [-0.5, 1.0, 0.5]),  # values are checked first
+    ])
+    def test_non_finite_values(self, values, weights):
+        with pytest.raises(ValueError, match="^values must be finite$"):
+            WeightedValues(np.array(values), np.array(weights))
+
+    @pytest.mark.parametrize("values", [[0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [2.0, 1.0, 3.0],
+                                        [0.0, 2.0, 1.0], [3.0, 2.0, 1.0], [0.0, -0.0, 1.0]])
+    def test_values_not_increasing(self, values):
+        with pytest.raises(ValueError, match="^values must be strictly increasing$"):
+            WeightedValues(np.array(values), np.array(HALVES))
+        # ahead of a bad weight
+        with pytest.raises(ValueError, match="^values must be strictly increasing$"):
+            WeightedValues(np.array(values), np.array([NAN, 0.5, 0.5]))
+
+    @pytest.mark.parametrize("weights", [[NAN, 0.5, 0.5], [0.5, NAN, 0.5], [0.25, 0.25, NAN],
+                                         [INF, 0.0, 0.0], [0.0, 0.5, INF], [-INF, 1.0, 1.0],
+                                         [-0.5, 1.0, 0.5], [0.5, 0.5, -1e-300]])
+    def test_bad_weights(self, weights):
+        with pytest.raises(ValueError, match="^weights must be finite and nonnegative$"):
+            WeightedValues(np.array([0.0, 1.0, 2.0]), np.array(weights))
+
+    @pytest.mark.parametrize("off", [2e-12, -2e-12, 1.1e-12, 0.5, -0.25])
+    def test_bad_sum(self, off):
+        weights = np.array([0.5, 0.5 + off])
+        got = float(weights.sum())
+        with pytest.raises(ValueError, match=f"^weights must sum to 1, got {re.escape(repr(got))}$"):
+            WeightedValues(np.array([0.0, 1.0]), weights)
+
+    def test_shape(self):
+        with pytest.raises(ValueError, match="^values and weights must be 1-D"):
+            WeightedValues(np.array([0.0, 1.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="^values and weights must be 1-D"):
+            WeightedValues(np.array([[0.0, 1.0]]), np.array([[0.5, 0.5]]))
+        with pytest.raises(ValueError, match="^at least one atom is required$"):
+            WeightedValues(np.array([]), np.array([]))
+
+    def test_negative_zero_weight_accepted(self):
+        m = WeightedValues(np.array([0.0, 1.0]), np.array([-0.0, 1.0]))
+        assert m.weights.tobytes() == np.array([-0.0, 1.0]).tobytes()
+
+    @pytest.mark.parametrize("off", [9.99e-13, -9.99e-13, 5e-13])
+    def test_sum_within_tolerance_accepted(self, off):
+        weights = np.array([0.5, 0.5 + off])
+        assert abs(float(weights.sum()) - 1.0) <= 1e-12
+        m = WeightedValues(np.array([0.0, 1.0]), weights)
+        assert m.weights.tobytes() == weights.tobytes()
+
+    def test_integer_inputs_accepted(self):
+        m = WeightedValues(np.array([-1, 0, 3]), [0, 1, 0])
+        assert m.values.dtype == m.weights.dtype == np.float64
+        assert m.atoms == [(-1.0, 0.0), (0.0, 1.0), (3.0, 0.0)]
+
+    def test_single_atom_accepted(self):
+        assert WeightedValues(np.array([5.0]), np.array([1.0])).atoms == [(5.0, 1.0)]
+
+    @given(st.lists(st.tuples(st.sampled_from([NAN, INF, -INF, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0]),
+                              st.sampled_from([NAN, INF, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0])),
+                    min_size=1, max_size=4))
+    def test_matches_rule_by_rule(self, pairs):
+        v, w = np.array(pairs).T
+        if not np.isfinite(v).all():
+            want = "values must be finite"
+        elif not (v[1:] > v[:-1]).all():
+            want = "values must be strictly increasing"
+        elif (w < 0).any() or not np.isfinite(w).all():
+            want = "weights must be finite and nonnegative"
+        elif abs(float(w.sum()) - 1.0) > 1e-12:
+            want = f"weights must sum to 1, got {float(w.sum())!r}"
+        else:
+            want = None
+        try:
+            WeightedValues(v, w)
+            got = None
+        except ValueError as e:
+            got = str(e)
+        assert got == want
+
+    def test_rejection_without_warning(self):
+        cases = [([NAN, 1.0], [0.5, 0.5]), ([0.0, INF], [0.5, 0.5]), ([0.0, 1.0], [INF, 0.5]),
+                 ([0.0, 1.0], [NAN, 0.5]), ([1.0, 0.0], [0.5, 0.5])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for values, weights in cases:
+                with pytest.raises(ValueError):
+                    WeightedValues(np.array(values), np.array(weights))
+
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             WeightedValues(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
