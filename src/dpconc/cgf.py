@@ -212,14 +212,18 @@ def cgf_bound_scaled(dp: DPSpec, lam: float, u: float) -> float:
     """Conjugate bound for the recentered, rescaled payoff lam * (v - u)."""
     if math.isnan(u):
         raise ValueError("u must not be NaN")
+    return _scaled_conjugate(_atoms(dp.base), dp.alpha, lam, u)
+
+
+def _scaled_conjugate(view: _View, alpha: float, lam: float, u: float) -> float:
+    """:func:`cgf_bound_scaled` on the solver view of the base, for a u that is not NaN."""
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"lam must be nonnegative and finite, got {lam!r}")
     if lam == 0.0:
         return 0.0
     # the gaps to the top scale by lam, so the concentration scales by 1/lam
-    view = _atoms(dp.base)
-    _, _, gap, kl, _ = _conjugate(view.top, view.terms, math.log(dp.alpha) - math.log(lam))
-    return lam * (view.v_max - u) - dp.alpha * (gap + kl)
+    _, _, gap, kl, _ = _conjugate(view.top, view.terms, math.log(alpha) - math.log(lam))
+    return lam * (view.v_max - u) - alpha * (gap + kl)
 
 
 def gamma_log_mgf(dp: DPSpec) -> float:
@@ -228,20 +232,23 @@ def gamma_log_mgf(dp: DPSpec) -> float:
     Equals -alpha * E_base[log(1 - v)]; requires every payoff value <= 1
     and zero base mass at the value 1 exactly.
     """
-    base = dp.base
-    if base.v_max > 1.0:
+    return _gamma_log_mgf(dp.alpha, dp.base.v_max, *dp.base.positive())
+
+
+def _gamma_log_mgf(alpha: float, v_max: float, v: np.ndarray, p: np.ndarray) -> float:
+    """:func:`gamma_log_mgf` of a payoff with top value ``v_max`` and positive atoms (v, p)."""
+    if v_max > 1.0:
         raise ValueError("all payoff values must be <= 1")
-    v, p = base.positive()
     if v.size and v[-1] == 1.0:
         raise ValueError("base mass at payoff value 1 is not allowed")
-    return -dp.alpha * float(np.sum(p * np.log1p(-v)))
+    return -alpha * float((p * np.log1p(-v)).sum())
 
 
-def _excess_log(t: float) -> float:
-    """t - log(1 + t) for t > -1, with relative accuracy: its series where |t| < 0.1."""
+def _excess_log_ratio(t: float) -> float:
+    """(t - log(1 + t)) / t for t > -1, with relative accuracy: its series where |t| < 0.1."""
     if abs(t) < 0.1:
-        return sum((-t) ** k / k for k in range(2, 18))
-    return t - math.log1p(t)
+        return -sum((-t) ** k / (k + 1) for k in range(1, 17))
+    return (t - math.log1p(t)) / t
 
 
 def beta_cgf_bound(a: float, b: float, lam: float) -> float:
@@ -249,13 +256,14 @@ def beta_cgf_bound(a: float, b: float, lam: float) -> float:
 
     Evaluates max_{s in [p, 1]} lam (s - p) - (a+b) kl(p, s), p = a/(a+b),
     at the stationary point s, the root of lam s^2 + (a + b - lam) s = a.
-    For lam <= a + b, x = s - p is taken from its own rationalized root and
-    kl(p, p + x) as p e(x/p) + (1 - p) e(-x/(1 - p)) with e(t) = t - log(1 + t),
-    which keeps relative accuracy as lam -> 0, where the bound is
-    lam^2 ab / (2 (a+b)^3) to leading order; where x > p, the log(1 + x/p)
-    inside p e(x/p) is taken out of the cancelling terms.  For lam > a + b, where s
-    rounds to 1 at large lam, s - p and 1 - s are carried in forms that
-    neither cancel nor overflow, up to lam = 1.7e308.
+    For lam <= a + b, x = s - p comes from its own rationalized root, and
+    kl(p, p + x) as x (f(x/p) - f(-x/(1 - p))), f(t) = (t - log(1 + t)) / t,
+    keeps relative accuracy as lam -> 0 (where the bound is lam^2 ab / (2 (a+b)^3)
+    to leading order) with no square of x/p to underflow; where x > p, the
+    log(1 + x/p) of the divergence is taken out of the cancelling terms.  For
+    lam > a + b, s - p and 1 - s are carried in forms that neither cancel nor
+    overflow.  Where lam or a + b passes 2^1020, the bound is 32 times its value
+    at a 32nd of a, b and lam (it is homogeneous), unless that would round a or b.
     """
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValueError(f"a and b must be positive and finite, got a={a!r}, b={b!r}")
@@ -263,6 +271,8 @@ def beta_cgf_bound(a: float, b: float, lam: float) -> float:
         raise ValueError(f"lam must be nonnegative and finite, got {lam!r}")
     if lam == 0.0:
         return 0.0
+    if max(lam, a + b) > 2.0**1020 and min(a, b) > 2.0**-1017:
+        return 32.0 * beta_cgf_bound(a / 32.0, b / 32.0, lam / 32.0)
     p = a / (a + b)
     # lam - (a + b) with one rounding where lam is near a + b, which a + b
     # itself loses where a is below the rounding of b (or b of a)
@@ -271,15 +281,21 @@ def beta_cgf_bound(a: float, b: float, lam: float) -> float:
     q = b / (a + b)
     # s = p is always feasible, so the maximum is nonnegative
     if diff <= 0:
-        # x solves lam x^2 + (2 lam p - diff) x = lam p q, q = 1 - p, and
-        # stays below q / 2 here, so both arguments of e exceed -1
-        x = 2.0 * lam * p * q / (2.0 * lam * p - diff + root)
-        if x <= p:
-            kl = p * _excess_log(x / p) + q * _excess_log(-x / q)
-            return max(lam * x - (a + b) * kl, 0.0)
+        # x solves lam x^2 + (2 lam p - diff) x = lam p q, q = 1 - p; it is
+        # carried as t = x / p and x / q, which stay normal where x underflows,
+        # and x / q stays below 1/2 here, so both arguments of e exceed -1
+        den = 2.0 * lam * p - diff + root
+        t, t_q = 2.0 * lam * q / den, 2.0 * lam * p / den
+        down = _excess_log_ratio(-t_q)
+        if t <= 1.0:
+            # x (lam - (a + b) (f(t) - f(-t_q))) with x = p t = q t_q by the larger
+            # ratio: the smaller one is negligible where it underflows, and the
+            # product of the other two factors is at least the value
+            g = lam - (a + b) * (_excess_log_ratio(t) - down)
+            return max(p * g * t if t >= t_q else q * g * t_q, 0.0)
         # beyond, lam x and (a + b) p e(x/p) cancel: with a / p = a + b the
         # value is a log(1 + x/p) - b e(-x/q) + diff x
-        return max(a * math.log1p(x / p) - b * _excess_log(-x / q) + diff * x, 0.0)
+        return max(a * math.log1p(t) + b * t_q * down + diff * (p * t), 0.0)
     # 1 - s = b / d with d = (lam + a + b + root) / 2, and m = d - (a + b)
     # = (diff + root) / 2 (both halved through to stay finite) gives x = q m / d
     # and (1 - p) / (1 - s) = 1 + m / (a + b) with no cancellation in either log

@@ -46,6 +46,14 @@ def kl_bernoulli(p: float, q: float) -> float:
     return p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
 
 
+def _check_values(v: np.ndarray) -> None:
+    """Raise unless the payoff values ``v`` are finite and strictly increasing."""
+    # increasing values with finite ends are all finite (NaN fails the comparison)
+    if not ((v[1:] > v[:-1]).all() and math.isfinite(v[0]) and math.isfinite(v[-1])):
+        raise ValueError("values must be finite" if not np.isfinite(v).all()
+                         else "values must be strictly increasing")
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedValues:
     """Canonical pushforward of a probability measure through a payoff.
@@ -70,16 +78,11 @@ class WeightedValues:
             raise ValueError("values and weights must be 1-D arrays of equal length")
         if v.size == 0:
             raise ValueError("at least one atom is required")
-        # increasing values with finite ends are all finite (NaN fails the
-        # comparison), and nonnegative weights summing to 1 are all finite
-        if ((v[1:] > v[:-1]).all() and math.isfinite(v[0]) and math.isfinite(v[-1])
-                and w.min() >= 0.0 and abs(float(w.sum()) - 1.0) <= WEIGHT_SUM_TOL):
+        _check_values(v)
+        # nonnegative weights summing to 1 are all finite
+        if w.min() >= 0.0 and abs(float(w.sum()) - 1.0) <= WEIGHT_SUM_TOL:
             return
         # some rule fails: find the first, in the order of the messages
-        if not np.isfinite(v).all():
-            raise ValueError("values must be finite")
-        if not (v[1:] > v[:-1]).all():
-            raise ValueError("values must be strictly increasing")
         if (w < 0).any() or not np.isfinite(w).all():
             raise ValueError("weights must be finite and nonnegative")
         if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:

@@ -6,8 +6,8 @@ atoms, i.e. normalized Gamma draws) and the stick-breaking construction
 truncated at a residual tolerance.  Stick-breaking draws its fractions
 in whole chunks and its atoms in one call, with the same truncation rule
 as breaking one stick at a time.  The moment oracles -- the nested-set
-product formula and the split polynomials Q_k / R_k -- are closed-form
-and validate every bound in the package against simulation.
+product formula and the split polynomials Q_k / R_k, by a recursion over
+set counts -- are exact and validate every bound in the package against simulation.
 
 All sampling takes an explicit numpy Generator; equal seeds give
 bit-identical output.
@@ -32,6 +32,8 @@ __all__ = [
     "mc_log_mgf",
 ]
 
+# the range of k that qk_rk accepts, part of its API (a test pins it); the
+# recursion over set counts itself has no such limit
 _MAX_SUBSET_K = 20
 
 
@@ -106,13 +108,12 @@ def sample_stick_breaking(
     return DPSample(rng.choice(v, size=w.size, p=p), w)
 
 
-def _nested_product(conc: float, a: np.ndarray) -> float:
-    """prod_l (conc a_l + l - 1) / (conc + l - 1) over ascending set masses a_l."""
-    if not np.all((a >= 0.0) & (a <= 1.0)):
+def _nested_product(conc: float, a: list[float]) -> float:
+    """prod_l (conc a_l + l - 1) / (conc + l - 1) over ascending set masses a_l, left to right."""
+    if not all(0.0 <= a_l <= 1.0 for a_l in a):
         raise ValueError("set masses must lie in [0,1]")
-    # rank offsets precomputed: conc*a + (l-1) must not absorb tiny masses
-    ell0 = np.arange(a.size, dtype=float)
-    return float(np.prod((conc * a + ell0) / (conc + ell0)))
+    # the rank is added to conc * a_l, never to a_l: it must not absorb tiny masses
+    return math.prod((conc * a_l + ell) / (conc + ell) for ell, a_l in enumerate(a))
 
 
 def moment_nested(dp: DPSpec, nu0_of_sets) -> float:
@@ -121,10 +122,10 @@ def moment_nested(dp: DPSpec, nu0_of_sets) -> float:
     Only the base masses a_l = nu0(A_l) enter; the exact value is
     prod_l (alpha a_l + l - 1) / (alpha + l - 1).
     """
-    a = np.asarray(list(nu0_of_sets), dtype=float)
-    if a.size == 0:
+    a = [float(a_l) for a_l in nu0_of_sets]
+    if not a:
         raise ValueError("need at least one set mass")
-    if np.any(np.diff(a) < 0):
+    if any(later < earlier for earlier, later in zip(a, a[1:])):
         raise ValueError("set masses must be nondecreasing (nested sets)")
     return _nested_product(dp.alpha, a)
 
@@ -132,33 +133,33 @@ def moment_nested(dp: DPSpec, nu0_of_sets) -> float:
 def qk_rk(alpha: float, beta: float, nu0_of_sets, k: int) -> tuple[float, float]:
     """Exact subset-split moments Q_k and R_k over nested sets.
 
-    Q_k enumerates all 2^k assignments of the k sets to a pair of
+    Q_k sums over all 2^k assignments of the k sets to a pair of
     independent processes with concentrations alpha and beta; R_k is the
     single-process moment at concentration alpha + beta.  Input masses
-    are sorted ascending (nested sets ordered by inclusion).
+    are sorted ascending (nested sets ordered by inclusion).  Q_k is summed
+    over how many of the sets each process holds, in k (k + 1) / 2 steps.
     """
     if not (alpha > 0 and beta > 0):
         raise ValueError("alpha and beta must be positive")
     if not (1 <= k <= _MAX_SUBSET_K):
         raise ValueError(f"k must be in [1, {_MAX_SUBSET_K}]")
-    a = np.sort(np.asarray(list(nu0_of_sets), dtype=float))
-    if a.size != k:
-        raise ValueError(f"expected {k} set masses, got {a.size}")
+    a = sorted(float(a_l) for a_l in nu0_of_sets)
+    if len(a) != k:
+        raise ValueError(f"expected {k} set masses, got {len(a)}")
     r = (alpha + beta) ** k * _nested_product(alpha + beta, a)
 
-    # Row j of t holds E[prod_{l in S} X(A_l)] at concentration conc[j] for
-    # every subset S, indexed by bitmask; pop is |S|.  Appending set b
-    # doubles both: a set joining S multiplies by
-    # (conc a_b + |S|) / (conc + |S|), since it is the largest in S.
-    conc = np.array([[alpha], [beta]])
-    t = np.ones((2, 1))
-    pop = np.zeros(1)
-    for a_b in a:
-        t = np.concatenate((t, t * ((conc * a_b + pop) / (conc + pop))), axis=1)
-        pop = np.concatenate((pop, pop + 1.0))
-    # set b is bit b, so the complement of every mask reverses the order
-    q = float(np.sum(alpha**pop * beta ** (k - pop) * t[0] * t[1, ::-1]))
-    return q, r
+    # row[i] sums the assignments of the sets so far that give i of them to
+    # alpha.  Set b, the largest so far, joins a process that holds n of them
+    # with the factor c (c a_b + n) / (c + n), c its concentration: the next
+    # row's entry i gives it to beta from row[i] and to alpha from row[i - 1].
+    row = [1.0]
+    for b, a_b in enumerate(a):
+        nxt, to_alpha = [], 0.0
+        for i, t in enumerate(row):
+            nxt.append(to_alpha + t * beta * (beta * a_b + b - i) / (beta + b - i))
+            to_alpha = t * alpha * (alpha * a_b + i) / (alpha + i)
+        row = nxt + [to_alpha]
+    return sum(row), r
 
 
 def mc_log_mgf(dp: DPSpec, n: int, rng: np.random.Generator) -> tuple[float, float]:

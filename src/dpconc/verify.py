@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from .cgf import cgf_bound, cgf_bound_scaled, gamma_log_mgf
+from .cgf import _atoms, _gamma_log_mgf, _scaled_conjugate, cgf_bound
 from .kinf import kinf, tail_bound_single
-from .measures import DPSpec, WeightedValues, canonicalize, kl_discrete
+from .measures import DPSpec, WeightedValues, _check_values, canonicalize, kl_discrete
 from .sampler import (
     mc_log_mgf,
     moment_nested,
@@ -86,13 +86,18 @@ def _top_gap(dp: DPSpec, u: float) -> float:
 
 
 def chernoff_minimum_gamma(dp: DPSpec, u: float) -> float:
-    """min over lam in [0, 1/(v_max - u)] of the Gamma log-MGF at lam (v - u)."""
+    """min over lam in [0, 1/(v_max - u)] of the Gamma log-MGF at lam (v - u);
+    v - u and the positive atoms are formed once per call."""
+    hi = 1.0 / _top_gap(dp, u)
+    shifted, positive = dp.base.values - u, dp.base.weights > 0
+    p = dp.base.weights[positive]
 
     def objective(lam: float) -> float:
-        payoff = WeightedValues(np.minimum(lam * (dp.base.values - u), 1.0), dp.base.weights)
-        return gamma_log_mgf(DPSpec(dp.alpha, payoff))
+        payoff = np.minimum(lam * shifted, 1.0)
+        _check_values(payoff)
+        return _gamma_log_mgf(dp.alpha, payoff[-1], payoff[positive], p)
 
-    return _minimize_convex(objective, 0.0, 1.0 / _top_gap(dp, u))
+    return _minimize_convex(objective, 0.0, hi)
 
 
 def min_scaled_conjugate(dp: DPSpec, u: float) -> float:
@@ -101,9 +106,10 @@ def min_scaled_conjugate(dp: DPSpec, u: float) -> float:
     The bound is alpha sup_q ((lam/alpha)(E_q[v] - u) - KL(base || q)).  Its minimum,
     -alpha kinf(u), sits at alpha times the maximizer of the dual E_base[log(1 - mu (v - u))]
     of kinf, which lies in the domain [0, 1/(v_max - u)] of that log: the interval needs
-    nothing from the solvers.
+    nothing from the solvers.  The solver view of the base is built once per call.
     """
-    return _minimize_convex(lambda lam: cgf_bound_scaled(dp, lam, u), 0.0,
+    view = _atoms(dp.base)
+    return _minimize_convex(lambda lam: _scaled_conjugate(view, dp.alpha, lam, u), 0.0,
                             dp.alpha / _top_gap(dp, u))
 
 

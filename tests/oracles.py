@@ -62,7 +62,8 @@ def bootstrap_mean_ci(values, n_boot=10_000, level=0.95, seed=0):
 
 
 def qk_enumerate(alpha, beta, masses):
-    """Split moment Q_k by enumerating the 2^k assignments of the sets.
+    """Split moment Q_k by enumerating the 2^k assignments of the sets,
+    summed exactly rounded.
 
     Each set goes to the process of concentration alpha or beta and
     carries that concentration as a factor; within a process, the l-th
@@ -70,15 +71,20 @@ def qk_enumerate(alpha, beta, masses):
     nested-set moment of a single Dirichlet process.
     """
     a = sorted(masses)
-    total = 0.0
+    terms = []
     for sides in itertools.product((0, 1), repeat=len(a)):
         term = 1.0
         for which, c in enumerate((alpha, beta)):
             mine = [m for m, side in zip(a, sides) if side == which]
             for rank, m in enumerate(mine):
                 term *= c * (c * m + rank) / (c + rank)
-        total += term
-    return total
+        terms.append(term)
+    return math.fsum(terms)
+
+
+def _logsumexp(x):
+    top = float(np.max(x))
+    return top + math.log(math.fsum(np.exp(x - top).tolist()))
 
 
 def exact_log_mgf(alpha, base):
@@ -88,24 +94,28 @@ def exact_log_mgf(alpha, base):
     The coefficients h_0 = 1, h_n = (alpha / n) sum_{j <= n} mu_j h_{n-j}
     of exp(alpha sum_j mu_j t^j / j) are the Chinese-restaurant sums over
     partitions, and E exp(E_X[f]) = sum_n h_n / (alpha)_n, with (alpha)_n
-    the rising factorial.  The series is summed in g_n = h_n / (alpha)_n,
-    so that neither the factorials nor the powers overflow.  Its terms are
-    E[E_X[f]^n] / n! <= (e max f / n)^n, so N = ceil(e max f) + 60 terms
-    leave a remainder far below rounding for payoffs of moderate size.
+    the rising factorial.  The series is summed in G_n = h_n / ((alpha)_n F^n),
+    F = max f, from the moments mu_j / F^j of f / F, and G_n is carried as its
+    logarithm, so that neither the factorials nor the powers overflow or
+    underflow at any range.  Its terms are E[E_X[f]^n] / n! <= (e F / n)^n, so
+    N = ceil(e F) + 60 terms leave a remainder far below rounding.
     """
     values, weights = base.positive()
     shift = float(values[0])
     f = values - shift
-    n_terms = math.ceil(math.e * float(f[-1])) + 60
-    mu = [1.0] + [float(np.dot(weights, f**j)) for j in range(1, n_terms + 1)]
-    g = [1.0]
+    top = float(f[-1])
+    if top == 0.0:
+        return shift
+    n_terms = math.ceil(math.e * top) + 60
+    # the top atom has (f / F)^j = 1, so no moment is 0
+    log_m = np.log(weights @ ((f / top)[:, None] ** np.arange(1, n_terms + 1)))
+    log_shifted = np.log(alpha + np.arange(n_terms))  # log(alpha + i), i < N
+    log_g = np.zeros(n_terms + 1)
     for n in range(1, n_terms + 1):
-        total, rising = 0.0, 1.0
-        for j in range(1, n + 1):
-            rising *= alpha + n - j  # (alpha)_n / (alpha)_{n-j}
-            total += mu[j] * g[n - j] / rising
-        g.append(alpha * total / n)
-    return shift + math.log(math.fsum(g))
+        # log (alpha)_n / (alpha)_{n-j} for j = 1, ..., n
+        log_rising = np.cumsum(log_shifted[n - 1::-1])
+        log_g[n] = math.log(alpha / n) + _logsumexp(log_m[:n] + log_g[n - 1::-1] - log_rising)
+    return shift + _logsumexp(log_g + np.arange(n_terms + 1) * math.log(top))
 
 
 def canonicalize_loop(pairs):

@@ -139,6 +139,17 @@ class TestExactLogMgf:
         want = math.log(hyp1f1(alpha * p, alpha, 1.0))
         assert exact_log_mgf(alpha, base) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("top", [50.0, 200.0, 700.0])
+    @pytest.mark.parametrize("alpha,p", [(4.0, 0.5), (0.3, 0.1), (25.0, 0.9)])
+    def test_oracle_matches_confluent_hypergeometric_at_wide_ranges(self, top, alpha, p):
+        # E exp(E_X f) = 1F1(alpha p; alpha; F) on {0: 1 - p, F: p}; powers of F
+        # and the rising factorials both leave the float range here
+        mpmath = pytest.importorskip("mpmath")
+        base = canonicalize([(0.0, 1.0 - p), (top, p)])
+        with mpmath.workdps(40):
+            want = float(mpmath.log(mpmath.hyp1f1(alpha * p, alpha, top)))
+        assert exact_log_mgf(alpha, base) == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_bound_dominates_exact_log_mgf(self):
         rng = np.random.default_rng(18)
         for _ in range(100):
@@ -361,6 +372,35 @@ class TestBetaCgfBound:
         want = beta_cgf_exact(1e-300, 1.0, 1.0, digits=800)
         assert want == pytest.approx(3.4488776394910686e-298, rel=1e-15)
         assert beta_cgf_bound(1e-300, 1.0, 1.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @staticmethod
+    def _assert_matches_mpmath(a, b, lam):
+        # 1000 digits: the textbook form loses log10((a + b) / lam) digits twice;
+        # a subnormal value is held to 1e-13 of the smallest normal float
+        from oracles import beta_cgf_exact
+
+        want = beta_cgf_exact(a, b, lam, digits=1000)
+        got = beta_cgf_bound(a, b, lam)
+        assert abs(got - want) <= 1e-13 * max(want, 2.2250738585072014e-308), (a, b, lam)
+
+    @pytest.mark.parametrize("a, b, lam, want", [
+        (1e308, 1e308, 1.0, 6.25e-310), (1.7e308, 1.7e308, 1e300, 3.676470588235294e290),
+        (1e160, 1e160, 1.0, 6.25e-162), (1e200, 1e200, 1.0, 6.25e-202),
+        (1e200, 3e200, 1.0, 2.34375e-202), (8e307, 8e307, 1e300, 7.8125e290)])
+    def test_huge_shapes(self, a, b, lam, want):
+        # a + b overflows in the first two; in the others (x/p)^2 underflows,
+        # which dropped the divergence and doubled the value
+        pytest.importorskip("mpmath")
+        assert beta_cgf_bound(a, b, lam) == pytest.approx(want, rel=1e-10)
+        self._assert_matches_mpmath(a, b, lam)
+
+    def test_huge_shapes_grid(self):
+        pytest.importorskip("mpmath")
+        shapes = [1e100, 3e150, 1e200, 7e250, 1e300, 8e307, 1.7e308]
+        for a in shapes:
+            for b in shapes:
+                for lam in [1e-10, 1.0, 3e10, 1e100, 1e200, 1e300]:
+                    self._assert_matches_mpmath(a, b, lam)
 
     def test_conjugate_dominates_kl(self):
         from dpconc.verify import _minimize_convex

@@ -2,13 +2,17 @@
 
 Each family of solver calls draws its inputs from its own seeded
 generator and hashes every output field as IEEE-754 bytes, witnesses
-included, with sha256.  The pins were computed before the solver views
-and witnesses moved to Python floats, and hold any later refactor to the
-same numbers.  The bases have 1-12 atoms, some with no mass at the top or
-the bottom value (ambient atoms) and some point masses; the sums have 1-4
-components.  numpy's ``log`` is dispatched on the CPU's vector
-instructions and can differ by an ulp between instruction sets; the pins
-were computed with AVX-512 dispatch.
+included, with sha256.  The first seven pins were computed before the
+solver views and witnesses moved to Python floats; those of the two verify
+references and of R_k before Q_k moved to a recursion over set counts and
+the references to one view per minimization.  They hold any later refactor
+to the same numbers.  Q_k itself moved by rounding and is held to an exactly
+rounded enumeration; the rejections of the references and the split moments
+are pinned by type and message.  The bases have 1-12 atoms (1-8 for the
+references), some with no mass at the top or the bottom value (ambient atoms)
+and some point masses; the sums have 1-4 components.  numpy's ``log`` is
+dispatched on the CPU's vector instructions and can differ by an ulp between
+instruction sets; the pins were computed with AVX-512 dispatch.
 """
 
 import hashlib
@@ -18,16 +22,19 @@ import struct
 import numpy as np
 import pytest
 
+from oracles import qk_enumerate
 from dpconc.cgf import cgf_bound, cgf_bound_scaled
 from dpconc.kinf import kinf, kinf_inverse, tail_bound_single
 from dpconc.measures import DPSpec, canonicalize
+from dpconc.sampler import moment_nested, qk_rk
 from dpconc.sums import SumSpec, region_radius, sum_tail
+from dpconc.verify import chernoff_minimum_gamma, min_scaled_conjugate
 
 N_CASES = 1000
 
 
-def _base(rng):
-    n = int(rng.integers(1, 13))
+def _base(rng, most=12):
+    n = int(rng.integers(1, most + 1))
     scale = math.exp(rng.uniform(-3.0, 3.0))
     values = rng.uniform(-10.0, 10.0) + scale * np.cumsum(rng.uniform(0.05, 1.0, n))
     weights = rng.dirichlet(np.ones(n))
@@ -114,6 +121,41 @@ def _sum_tail(rng):
     return _floats(r.value) + (b"none" if r.split is None else _floats(*r.split))
 
 
+def _reference_input(rng):
+    """A DP of 1-8 atoms and a level in (mean, v_max), or below v_max where the
+    mean is v_max."""
+    dp = DPSpec(math.exp(rng.uniform(-3.0, 4.0)), _base(rng, 8))
+    lo = dp.base.mean if dp.base.mean < dp.base.v_max else dp.base.v_max - 1.0
+    u = lo + rng.uniform(0.0, 1.0) * (dp.base.v_max - lo)
+    return dp, u if u < dp.base.v_max else lo
+
+
+def _min_scaled_conjugate(rng):
+    return _floats(min_scaled_conjugate(*_reference_input(rng)))
+
+
+def _chernoff_minimum_gamma(rng):
+    return _floats(chernoff_minimum_gamma(*_reference_input(rng)))
+
+
+POINT = canonicalize([(0.0, 1.0)])  # moment_nested reads alpha alone
+
+
+def _r_k(rng):
+    """R_k of qk_rk and the nested moment of the same masses; Q_k is checked
+    against enumeration instead."""
+    k = int(rng.integers(1, 21))
+    alpha, beta = np.exp(rng.uniform(-5.0, 5.0, 2)).tolist()
+    kind = rng.random()
+    if kind < 0.1:
+        masses = rng.uniform(0.0, 1e-12, k)  # below the rounding of the ranks
+    elif kind < 0.2:
+        masses = rng.integers(0, 2, k).astype(float)
+    else:
+        masses = rng.uniform(0.0, 1.0, k)
+    _, r = qk_rk(alpha, beta, masses, k)
+    return _floats(r, moment_nested(DPSpec(alpha, POINT), np.sort(masses)))
+
 FAMILIES = {
     "cgf_bound": (_cgf_bound,
         "50324aa581312dd49cee6ff486e33a0c4ff8ee71766d652789daaf6e9ebfc7a1"),
@@ -129,14 +171,22 @@ FAMILIES = {
         "2743d08878535741cd748227cc5867aa79096a572b1ed36b56445c316c609045"),
     "sum_tail": (_sum_tail,
         "ca7261a2012f992766f60688d4caae2c01ebca0743f70e1d6ba5a64991ff0fef"),
+    "min_scaled_conjugate": (_min_scaled_conjugate,
+        "8e1380ad777fd3b114113db415a66b3b17b903cade4dfcca653d92b1aa9a605d"),
+    "chernoff_minimum_gamma": (_chernoff_minimum_gamma,
+        "bad7017c0726d15145373849f5ce5a5d51b51c02d0acec5ae360ce671485498b"),
+    "r_k": (_r_k,
+        "3f6c7284d36ec4e5619eb7508cfcb9002599d0ed3c98afd8f5c526f582363082"),
 }
+# the two references take about a millisecond a call
+CASES = {"min_scaled_conjugate": 300, "chernoff_minimum_gamma": 300}
 
 
 def digest(name: str) -> str:
     case, _ = FAMILIES[name]
     rng = np.random.default_rng(list(FAMILIES).index(name))
     h = hashlib.sha256()
-    for _ in range(N_CASES):
+    for _ in range(CASES.get(name, N_CASES)):
         h.update(case(rng))
     return h.hexdigest()
 
@@ -144,3 +194,70 @@ def digest(name: str) -> str:
 @pytest.mark.parametrize("name", FAMILIES)
 def test_outputs_are_pinned(name):
     assert digest(name) == FAMILIES[name][1]
+
+
+def test_split_moment_matches_enumeration():
+    rng = np.random.default_rng(20)
+    for k in range(1, 13):
+        for _ in range(8):
+            alpha, beta = np.exp(rng.uniform(-3.0, 3.0, 2)).tolist()
+            masses = rng.uniform(0.0, 1.0, k)
+            q, _ = qk_rk(alpha, beta, masses, k)
+            assert q == pytest.approx(qk_enumerate(alpha, beta, masses), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("atoms, alpha, u, conjugate, gamma", [
+    # v_max - u overflows, so both searches evaluate lam = 0 alone
+    ([(-1.7e308, 0.5), (1.7e308, 0.5)], 2.0, -1e308, 0.0, "values must be finite"),
+    # the end of the conjugate's interval, or of both, overflows
+    ([(0.0, 0.5), (1e-300, 0.5)], 1e10, 0.5e-300, ValueError, -0.0),
+    ([(0.0, 0.5), (1e-310, 0.5)], 2.0, 0.5e-310, ValueError, "values must be finite"),
+    # v - u rounds two values together
+    ([(0.0, 0.5), (1e-3, 0.25), (1e30, 0.25)], 2.0, 1e20, 0.1742697283924115,
+     "values must be strictly increasing"),
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_reference_edges_are_pinned(atoms, alpha, u, conjugate, gamma):
+    dp = DPSpec(alpha, canonicalize(atoms))
+    for reference, want in ((min_scaled_conjugate, conjugate), (chernoff_minimum_gamma, gamma)):
+        if want is ValueError:
+            with pytest.raises(ValueError):
+                reference(dp, u)
+        elif isinstance(want, str):
+            with pytest.raises(ValueError, match=f"^{want}$"):
+                reference(dp, u)
+        else:
+            assert _floats(reference(dp, u)) == _floats(want)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1.0, 1.0, [], 0), r"k must be in \[1, 20\]"),
+    ((1.0, 1.0, [0.5] * 21, 21), r"k must be in \[1, 20\]"),
+    ((1.0, 1.0, [0.5], 2), "expected 2 set masses, got 1"),
+    ((1.0, 1.0, [0.2, 0.3, 0.4], 2), "expected 2 set masses, got 3"),
+    ((1.0, 1.0, [0.2, math.nan], 2), r"set masses must lie in \[0,1\]"),
+    ((1.0, 1.0, [0.2, 1.2], 2), r"set masses must lie in \[0,1\]"),
+    ((1.0, 1.0, [-0.1, 0.2], 2), r"set masses must lie in \[0,1\]"),
+    ((0.0, 1.0, [0.5], 1), "alpha and beta must be positive"),
+    ((1.0, -1.0, [0.5], 1), "alpha and beta must be positive"),
+    ((math.nan, 1.0, [0.5], 1), "alpha and beta must be positive"),
+    ((-1.0, 1.0, [0.5], 0), "alpha and beta must be positive"),
+])
+def test_split_moment_errors_are_pinned(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        qk_rk(*args)
+
+
+@pytest.mark.parametrize("masses, message", [
+    ([], "need at least one set mass"),
+    ([0.6, 0.2], r"set masses must be nondecreasing \(nested sets\)"),
+    ([1.2, 0.2], r"set masses must be nondecreasing \(nested sets\)"),
+    ([0.2, math.nan], r"set masses must lie in \[0,1\]"),
+    ([math.nan, 0.2], r"set masses must lie in \[0,1\]"),
+    ([0.5, 1.2], r"set masses must lie in \[0,1\]"),
+    ([-0.1, 0.5], r"set masses must lie in \[0,1\]"),
+])
+def test_nested_moment_errors_are_pinned(masses, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        moment_nested(DPSpec(1.0, POINT), masses)
