@@ -18,11 +18,13 @@ when the base has no mass at v_max, and then the leftover weight
 1 - sum_i alpha p_i / (v_max - v_i) sits at the ambient maximizer.
 
 The secular equation is solved for the scale-free ratio r = (c - v_max) / alpha
-in [top mass, 1] (see ``_conjugate``) by ``_root``, a safeguarded Newton
-root finder.  The sum regions and tails of ``dpconc.sums``, the half-space
-projection ``kinf``, its inverse ``kinf_inverse`` (the KL-UCB index) and
-the single-process Chernoff tail ``tail_bound_single`` are outer roots of
-the same finder over this kernel.
+in [top mass, 1] (see ``_conjugate``).  Where one atom below the top carries
+mass (every two-atom base, with any ambient atoms) it is a quadratic in r,
+solved in closed form by ``_quadratic_root``; otherwise it is solved by
+``_root``, a safeguarded Newton root finder.  The sum regions and tails of
+``dpconc.sums``, the half-space projection ``kinf``, its inverse
+``kinf_inverse`` (the KL-UCB index) and the single-process Chernoff tail
+``tail_bound_single`` are outer roots of ``_root`` over this kernel.
 
 Also here: the Gamma-process log-MGF and the closed-form bound for Beta
 random variables.
@@ -134,9 +136,11 @@ def _conjugate(top: float, terms, ell: float, r: float = 1.0):
 
         r = top + sum_i p_i r u_i / (1 + r u_i),
 
-    at its largest root in [top, 1], found from the start ``r``; r = 0 on
-    the boundary branch (no top mass and sum_i p_i u_i <= 1).  Working in
-    r rather than c keeps c - v_max from underflowing at tiny kappa.
+    at its largest root in [top, 1]; r = 0 on the boundary branch (no top
+    mass and sum_i p_i u_i <= 1).  With one term the root is that of a
+    quadratic, from :func:`_quadratic_root`; with more, :func:`_root` finds
+    it from the start ``r``.  Working in r rather than c keeps c - v_max
+    from underflowing at tiny kappa.
 
     Returns r, the witness weights q_i = p_i u_i / (1 + r u_i) below the
     top, the mean gap (v_max - E_q[v]) / kappa = 1 - r, KL(base || q) and
@@ -147,7 +151,9 @@ def _conjugate(top: float, terms, ell: float, r: float = 1.0):
     # 1 / u_i is carried instead, which can only underflow (harmlessly)
     pu = [(p, 1.0, math.exp(lg - ell)) if ell > lg else (p, math.exp(ell - lg), 1.0)
           for p, lg in terms]
-    if top > 0.0 or sum(p * a / b if b > 0.0 else math.inf for p, a, b in pu) > 1.0:
+    if len(pu) == 1:
+        r = _quadratic_root(top, *pu[0])
+    elif top > 0.0 or sum(p * a / b if b > 0.0 else math.inf for p, a, b in pu) > 1.0:
 
         def excess(r_):
             s0 = s1 = 0.0
@@ -179,8 +185,32 @@ def _conjugate(top: float, terms, ell: float, r: float = 1.0):
         # log(r + 1/u) without cancellation on either side of u = 1
         kl += p * (math.log1p(b - gap) if b < 1.0 else math.log1p(r * a) + lg - ell)
     # dr/dell from the secular equation; 0 on the boundary branch
-    dr = tilt / (curv + top / (r * r)) if r > 0.0 else 0.0
+    dr = tilt / (curv + top / r / r) if r > 0.0 else 0.0
     return r, q, gap, kl, dr - gap
+
+
+def _quadratic_root(top: float, p: float, a: float, b: float) -> float:
+    """The r of :func:`_conjugate` for one term (p, u = a / b) below the top.
+
+    Its secular equation times b (1 + r u) is the quadratic
+    a r^2 + k r - top b = 0 with k = b - a (top + p), whose root in [top, 1]
+    is taken in the form that does not cancel, with the discriminant's
+    square root from ``math.hypot`` and a factor of top b split so that it
+    does not underflow.  With no top mass the roots are 0 and -k / a, and the
+    latter is taken where it is positive (p a > b).  k is formed as
+    (b - a) - a (top + p - 1), with top + p - 1 from whichever of p - 1 and
+    top - 1 is exact, so it keeps relative accuracy where b is near a.  The
+    weights sum to 1 only within 1e-12, so r is clamped to [top, 1].
+    """
+    s = (p - 1.0) + top if p >= top else (top - 1.0) + p
+    k = (b - a) - a * s
+    if top == 0.0:
+        r = -k / a if k < 0.0 else 0.0
+    else:
+        root = math.hypot(k, 2.0 * math.sqrt(top) * math.sqrt(a * b))
+        r = top * (2.0 * b / (k + root)) if k >= 0.0 else (root - k) / (2.0 * a)
+    # clamped by comparisons: calls to min and max would add half the solve
+    return top if r < top else r if r < 1.0 else 1.0
 
 
 def cgf_bound(dp: DPSpec) -> CgfBoundResult:

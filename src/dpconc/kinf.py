@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cgf import _atoms
 from .measures import DPSpec, WeightedValues
 from .sums import _region, _tail
@@ -40,7 +38,8 @@ class KinfResult:
     multiplier in [0, 1/(v_max - u)], ``at_boundary`` whether the right
     endpoint was attained, and ``diagnostic`` the self-consistency
     statistic E_nu[1 / (1 - lambda_star (v - u))], which is <= 1 always
-    and = 1 at interior optima.
+    and = 1 at interior optima.  It is the mass of the tail's witness
+    before normalization, and is summed from it.
     """
 
     value: float
@@ -55,15 +54,18 @@ def kinf(base: WeightedValues, u: float) -> KinfResult:
     Levels are read as by the sum tail: 0 at or below the mean, inf at or
     above v_max unless the base is the point mass there; NaN is rejected.
     """
-    value, _, tau, outer = _tail([(1.0, _atoms(base))], u)
+    view = _atoms(base)
+    value, _, tau, outer = _tail([(1.0, view)], u)
     if outer.sols[0] is None:
         # nothing was solved: the level is at or past an end of the range
         return KinfResult(value, 0.0, False, 1.0)
-    lam = math.exp(tau)
-    v, p = base.positive()
-    diagnostic = float(np.sum(p / (1.0 + lam * (u - v))))
-    # r = 0: the conjugate sits on its boundary branch, lam = 1/(v_max - u)
-    return KinfResult(value, lam, outer.sols[0][0] == 0.0, diagnostic)
+    r, q_below = outer.sols[0][:2]
+    # the statistic is the witness mass sum_i q_i, q_i = p_i / (1 + lam (u - v_i)),
+    # whose top term is top / r; r = 0 on the boundary branch, where the top
+    # has no mass and lam = 1/(v_max - u)
+    top = view.top
+    diagnostic = (top / r if top > 0.0 else 0.0) + sum(q_below)
+    return KinfResult(value, math.exp(tau), r == 0.0, diagnostic)
 
 
 def kinf_inverse(base: WeightedValues, budget: float) -> float:

@@ -154,3 +154,21 @@ def beta_cgf_exact(a, b, lam, digits=50):
         s = (lam - n + mpmath.sqrt((lam - n) ** 2 + 4 * lam * a)) / (2 * lam)
         kl = p * mpmath.log(p / s) + (1 - p) * mpmath.log((1 - p) / (1 - s))
         return float(lam * (s - p) - n * kl)
+
+
+def one_term_root(top, p, a, b, digits=80):
+    """The root in [top, 1] of the one-term secular quadratic
+    a r^2 + (b - a (top + p)) r - top b = 0, in ``digits``-digit arithmetic
+    from the float inputs, clamped to [top, 1]; with no top mass, the larger of
+    its roots 0 and p - b / a."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        top, p, a, b = (mpmath.mpf(x) for x in (top, p, a, b))
+        k = b - a * (top + p)
+        if top == 0:
+            r = max(-k / a, 0) if a > 0 else 0
+        else:
+            root = mpmath.sqrt(k * k + 4 * a * top * b)
+            r = 2 * top * b / (k + root) if k >= 0 else (root - k) / (2 * a)
+        return float(min(max(r, top), 1))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,16 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import hyp1f1
 
-from oracles import exact_log_mgf
+from oracles import exact_log_mgf, one_term_root
 from dpconc.cgf import (
+    _conjugate,
     _root,
     beta_cgf_bound,
     cgf_bound,
     cgf_bound_scaled,
     gamma_log_mgf,
 )
-from dpconc.kinf import kinf, tail_bound_single
+from dpconc.kinf import kinf, kinf_inverse, tail_bound_single
 from dpconc.measures import DPSpec, WeightedValues, canonicalize, kl_bernoulli, kl_discrete
+from dpconc.sums import SumSpec, region_radius, sum_tail
 from dpconc.verify import chernoff_minimum_gamma, min_scaled_conjugate, random_measure
 
 BER_HALF = canonicalize([(0.0, 0.5), (1.0, 0.5)])
@@ -39,6 +42,91 @@ class TestRoot:
         # no slope to follow, and a relative stop that a root at 0 never meets
         with pytest.raises(ArithmeticError, match="did not converge"):
             _root(lambda x: (x, 0.0), -1.0, 2.0, 2.0)
+
+
+def _one_term_views(seed, n=5000):
+    """(top, p, a, b, r) for ``n`` seeded one-term views with p = 1 - top: a
+    top mass of 0 (an ambient top), 5e-324 or drawn up to 1, evenly or in
+    logs, and a concentration exp(ell), ell in [-745, 709] or near the log
+    gap 0 of the term; (a, b) is its u = a / b as the kernel forms it."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.15:
+            top = 0.0
+        elif kind < 0.2:
+            top = 5e-324
+        elif kind < 0.6:
+            top = math.exp(rng.uniform(math.log(5e-324), 0.0))
+        else:
+            top = rng.uniform(0.0, 1.0)
+        p = 1.0 - top
+        if rng.random() < 0.7:
+            ell = rng.uniform(-745.0, 709.0)
+        else:
+            ell = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-17.0, 1.0)
+        a, b = (1.0, math.exp(-ell)) if ell > 0.0 else (math.exp(ell), 1.0)
+        yield top, p, a, b, _conjugate(top, [(p, 0.0)], ell)[0]
+
+
+class TestOneTermRoot:
+    """Views with one term below the top take the secular root in closed form."""
+
+    def test_matches_exact_root(self):
+        for top, p, a, b, r in _one_term_views(21):
+            want = one_term_root(top, p, a, b)
+            assert abs(r - want) <= 4.0 * math.ulp(want), (top, p, a, b)
+            assert top <= r <= 1.0
+
+    def test_boundary_branch_is_exactly_zero(self):
+        seen = 0
+        for top, p, a, b, r in _one_term_views(22):
+            if top == 0.0 and Fraction(p) * Fraction(a) <= Fraction(b):
+                assert r == 0.0
+                seen += 1
+        assert seen > 100
+
+    def test_stays_in_bracket_off_unit_mass(self):
+        # canonical weights sum to 1 only within 1e-12
+        rng = np.random.default_rng(23)
+        for top, p, _, _, _ in _one_term_views(24, 2000):
+            p *= 1.0 + rng.uniform(-1e-12, 1e-12)
+            for ell in (-745.0, -30.0, -1e-9, 0.0, 1e-9, 30.0, 709.0):
+                r = _conjugate(top, [(p, 0.0)], ell)[0]
+                assert top <= r <= 1.0
+
+
+@pytest.mark.parametrize("t", [1e-100, 1e-160, 1e-300, 5e-324])
+class TestTinyTopMass:
+    """On the base {0: 1, 1: t} every query is its limit as t -> 0.  The
+    secular roots reach down to r ~ t, where r * r underflows and a bracket
+    [t, 1] halved linearly does not close in 200 steps."""
+
+    @staticmethod
+    def base(t):
+        return canonicalize([(0.0, 1.0), (1.0, t)])
+
+    def test_cgf_bound(self, t):
+        # sup_s s + alpha log(1 - s) at s = 1 - alpha
+        got = cgf_bound(DPSpec(1e-3, self.base(t))).value
+        assert got == pytest.approx(1.0 - 1e-3 * (1.0 + math.log(1000.0)), rel=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    def test_kinf(self, t):
+        res = kinf(self.base(t), 0.5)
+        assert res.value == pytest.approx(math.log(2.0), rel=1e-14)
+        assert res.diagnostic == pytest.approx(1.0, rel=1e-14)
+
+    def test_kinf_inverse(self, t):
+        assert kinf_inverse(self.base(t), 0.5) == pytest.approx(-math.expm1(-0.5), rel=1e-14)
+
+    def test_region_radius(self, t):
+        got = region_radius(SumSpec([DPSpec(1.0, self.base(t))]), 0.1).radius
+        assert got == pytest.approx(0.9, rel=1e-14)
+
+    def test_sum_tail(self, t):
+        got = sum_tail(SumSpec([DPSpec(1.0, self.base(t))]), 0.5).value
+        assert got == pytest.approx(0.5, rel=1e-14)
 
 
 class TestCgfBound:
