@@ -64,7 +64,7 @@ def _one_term_views(seed, n=5000):
         if rng.random() < 0.7:
             ell = rng.uniform(-745.0, 709.0)
         else:
-            ell = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-17.0, 1.0)
+            ell = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-17.0, 1.0))
         a, b = (1.0, math.exp(-ell)) if ell > 0.0 else (math.exp(ell), 1.0)
         yield top, p, a, b, _conjugate(top, [(p, 0.0)], ell)[0]
 
