@@ -145,36 +145,13 @@ def _check_width(instance: BanditInstance, state: PolicyState) -> None:
         raise ValueError(f"the state has {len(state.counts)} arms, the instance {instance.n}")
 
 
-def _pairwise(x: list[float], lo: int, hi: int) -> float:
-    # numpy's order for a row of 8 or more: 8 running sums combined as a
-    # tree and then the tail, up to 128 terms; halves cut at a multiple of 8
-    # above.  The leading 0.0 is numpy's starting value.
-    n = hi - lo
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise(x, lo, lo + half) + _pairwise(x, lo + half, hi)
-    r0, r1, r2, r3, r4, r5, r6, r7 = x[lo:lo + 8]
-    end = hi - n % 8
-    for i in range(lo + 8, end, 8):
-        r0 += x[i]
-        r1 += x[i + 1]
-        r2 += x[i + 2]
-        r3 += x[i + 3]
-        r4 += x[i + 4]
-        r5 += x[i + 5]
-        r6 += x[i + 6]
-        r7 += x[i + 7]
-    s = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
-    for v in x[end:hi]:
-        s += v
-    return s
-
-
 def _block_sums(per_arm: list[float], m: int) -> list[float]:
     """Sums of the consecutive width-m blocks of ``per_arm``, bit for bit
-    those of ``np.asarray(per_arm).reshape(-1, m).sum(axis=1)``."""
+    those of ``np.asarray(per_arm).reshape(-1, m).sum(axis=1)``: numpy's
+    own for 8 or more arms, its left-to-right order in Python below that,
+    where a numpy call would cost more than the additions."""
     if m >= 8:
-        return [_pairwise(per_arm, lo, lo + m) for lo in range(0, len(per_arm), m)]
+        return np.asarray(per_arm).reshape(-1, m).sum(axis=1).tolist()
     sums = []
     for lo in range(0, len(per_arm), m):
         s = 0.0  # numpy adds fewer than 8 terms left to right

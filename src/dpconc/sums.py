@@ -66,9 +66,9 @@ class RegionResult:
     ``witnesses`` are per-component optimizing measures; ``unconstrained``
     marks the degenerate outer multiplier lam = 0, where the budget
     exceeds every finite divergence and the radius is the sum of the
-    maximal payoff values.  ``lambda_star`` can also round to 0 without
-    that, when tiny concentrations leave a multiplier below the smallest
-    float.
+    maximal payoff values.  ``lambda_star`` can also be 0 without that,
+    when tiny concentrations leave a multiplier below the smallest float,
+    or when the live bases' means round to their maximal values.
     """
 
     radius: float
@@ -159,6 +159,10 @@ def _region(comps, budget: float) -> tuple[float, float, _Outer]:
         offset += w * (sum(p * lg for p, lg in terms) - mass * outer.logs[j])
         offset += w * top * math.log(top) if top > 0.0 else 0.0
         reach += v_max - mean
+    if reach <= 0.0:
+        # every live mean rounds to its top (or past it, by the weights'
+        # tolerance): the radius, between the means and the tops, is tops
+        return tops, 0.0, outer
     lo = (offset - scaled) / slope
     tau = _root(h, lo, max(math.log(reach / budget), lo), lo, atol=_TAU_TOL)
     lam = math.exp(tau)

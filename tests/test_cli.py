@@ -186,6 +186,19 @@ class TestErrorContract:
         assert code == 0
         assert json.loads(out)["radius"] == pytest.approx(2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("atoms, top", [
+        ([(0.0, 1e-14), (0.5, 1.0)], 0.5),
+        ([(0.9999999999999999, 1.0), (1.0, 5e-13)], 1.0),
+    ])
+    def test_mean_rounded_to_top_region_succeeds(self, capsys, tmp_path, atoms, top):
+        # the base's mean rounds to its top, or passes it by the weights' tolerance
+        base = {"atoms": [{"value": v, "weight": w} for v, w in atoms]}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"components": [{"alpha": 1.0, "base": base}]}))
+        code, out, _ = run_cli(capsys, "region", str(spec), "--delta", "0.1")
+        assert code == 0
+        assert json.loads(out)["radius"] == top
+
     def test_huge_alpha_bound_succeeds(self, capsys, tmp_path):
         # alpha / gap = 1e310 is past the largest float
         measure = tmp_path / "measure.json"
@@ -252,6 +265,16 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "duality", "--tol", "1e-3"])
         assert exc.value.code == 2
+
+    def test_one_sample_mc_bound_reports_infinite_error(self, capsys):
+        # one draw gives the log-MGF estimate a standard error of inf, which
+        # prints as Infinity; the one-draw tail checks fail the suite
+        code, out, _ = run_cli(capsys, "verify", "mc-bound", "--samples", "1")
+        assert code == 1
+        check = json.loads(out)["checks"][0]
+        assert check["name"] == "log_mgf_bound_alpha_1"
+        assert check["se"] == math.inf and check["passed"] is True
+        assert '"se": Infinity' in out
 
     def test_one_sample_moments_exits_2(self, capsys):
         # one draw has no standard error: refused before any numpy warning

@@ -232,6 +232,19 @@ class TestKinfInverse:
         for budget in (0.0, 0.3, math.inf):
             assert kinf_inverse(base, budget) == 1.0
 
+    # canonicalize keeps weights summing to within 1e-12 of 1, so a mean can
+    # round to its top (a mass of 1e-14 below it) or pass it (a top weight
+    # of 5e-13 over a full mass just below)
+    @pytest.mark.parametrize("budget", [1e-6, 0.1, 10.0])
+    @pytest.mark.parametrize("atoms, top", [
+        ([(0.0, 1e-14), (0.5, 1.0)], 0.5),
+        ([(0.9999999999999999, 1.0), (1.0, 5e-13)], 1.0),
+    ])
+    def test_mean_rounded_to_top_gives_top(self, atoms, top, budget):
+        base = canonicalize(atoms)
+        assert base.mean >= base.v_max == top
+        assert kinf_inverse(base, budget) == top
+
     @settings(max_examples=25)
     @given(measures(min_atoms=2))
     def test_roundtrip_with_kinf(self, base):

@@ -339,6 +339,12 @@ class TestJsonInterchange:
         assert m == again
         assert json.dumps(again.to_dict()) == blob
 
+    def test_equality_with_a_non_measure_is_false(self):
+        m = canonicalize([(0.0, 0.5), (1.0, 0.5)])
+        assert m.__eq__(m.to_dict()) is NotImplemented
+        assert m != m.to_dict()
+        assert m != [(0.0, 0.5), (1.0, 0.5)]
+
     def test_load_renormalizes(self):
         m = WeightedValues.from_dict(
             {"atoms": [{"value": 0.0, "weight": 3.0}, {"value": 1.0, "weight": 1.0}]}

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import dpconc
 
@@ -28,3 +30,38 @@ def test_every_declared_name_exists():
         module = _module(mod)
         for name in module.__all__:
             assert hasattr(module, name), f"dpconc.{mod}.{name}"
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _benchmark_names() -> set[tuple[str, str]]:
+    """(module, attribute) pairs of dpconc that the benchmark uses: every
+    function ``perfbench/tracer.py`` wraps by its TRACED table, and every
+    attribute ``perfbench/workloads.py`` reads off a module it loads with
+    ``_program``, read from their sources without importing them."""
+    tracer = ast.parse((PERFBENCH / "tracer.py").read_text(encoding="utf-8"))
+    traced = next(node.value for node in ast.walk(tracer) if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets))
+    names = {(mod, fn) for mod, fns in ast.literal_eval(traced).items() for fn in fns}
+
+    workloads = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    loaded = set()  # the modules named in an assignment from _program, bound to their names
+    for node in ast.walk(workloads):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_program"
+                for call in ast.walk(node.value)):
+            loaded |= {c.value for c in ast.walk(node.value)
+                       if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    names |= {(node.value.id, node.attr) for node in ast.walk(workloads)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in loaded}
+    return names
+
+
+def test_benchmark_names_exist():
+    names = _benchmark_names()
+    assert ("kinf", "kinf_inverse") in names and ("sampler", "sample_exact") in names
+    missing = [f"dpconc.{mod}.{name}" for mod, name in sorted(names)
+               if not hasattr(_module(mod), name)]
+    assert not missing, f"perfbench uses names dpconc no longer has: {missing}"

@@ -251,6 +251,15 @@ class TestMcLogMgf:
         assert est == pytest.approx(0.7, abs=1e-12)
         assert se == pytest.approx(0.0, abs=1e-12)
 
+    def test_one_sample_has_infinite_error(self):
+        # one draw has no sample deviation: the estimate is that draw's
+        # log-MGF term and its standard error is inf
+        dp = DPSpec(1.0, BER_HALF)
+        draw = float(sample_payoff_means(dp, 1, np.random.default_rng(13))[0])
+        est, se = mc_log_mgf(dp, 1, np.random.default_rng(13))
+        assert est == math.log(math.exp(draw))
+        assert se == math.inf
+
     def test_below_conjugate_bound(self):
         from dpconc.cgf import cgf_bound
 

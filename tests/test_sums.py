@@ -107,6 +107,17 @@ class TestRegionRadius:
         )
         assert spent == 0.0
 
+    @pytest.mark.parametrize("atoms, top", [
+        ([(0.0, 1e-14), (0.5, 1.0)], 0.5),  # the mean rounds to the top
+        ([(0.9999999999999999, 1.0), (1.0, 5e-13)], 1.0),  # the mean passes it
+    ])
+    def test_mean_rounded_to_top_gives_top(self, atoms, top):
+        spec = SumSpec([DPSpec(2.0, canonicalize(atoms))] * 2)
+        res = region_radius(spec, 0.05)
+        assert res.radius == 2.0 * top
+        assert res.lambda_star == 0.0
+        assert not res.unconstrained
+
     def test_monotone_in_budget(self):
         spec = SumSpec([DPSpec(3.0, BER_HALF), DPSpec(1.0, BER_HALF)])
         radii = [
