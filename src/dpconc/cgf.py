@@ -36,8 +36,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .measures import DPSpec, WeightedValues
 
 __all__ = [
@@ -116,15 +114,11 @@ class _View(NamedTuple):
 
 def _atoms(base: WeightedValues) -> _View:
     """The solver view of ``base``, from one list of its values and one of its
-    weights.  numpy takes only the log of the gaps, which ``math.log`` rounds
-    differently on some inputs, and the dot product of ``base.mean``."""
+    weights; numpy takes only the dot product of ``base.mean``."""
     values, weights = base.values.tolist(), base.weights.tolist()
-    below = [(w, values[-1] - v) for v, w in zip(values, weights[:-1]) if w > 0.0]
-    if not below:
-        return _View(values[0], values[-1], values[-1], weights[-1], [])
-    p, gaps = zip(*below)
-    terms = list(zip(p, np.log(gaps).tolist()))
-    return _View(values[0], values[-1], base.mean, weights[-1], terms)
+    v_max = values[-1]
+    terms = [(w, math.log(v_max - v)) for v, w in zip(values, weights[:-1]) if w > 0.0]
+    return _View(values[0], v_max, base.mean if terms else v_max, weights[-1], terms)
 
 
 def _conjugate(top: float, terms, ell: float, r: float = 1.0):
@@ -226,16 +220,16 @@ def cgf_bound(dp: DPSpec) -> CgfBoundResult:
 
 def _witness(base: WeightedValues, r: float, q_below) -> tuple[WeightedValues, float]:
     """Witness measure on the atoms of ``base`` from a :func:`_conjugate`
-    solution, filled in a list and normalized by numpy's sum in one array,
-    and the boundary mass it puts on an ambient top."""
+    solution, filled in a list and normalized by its ``math.fsum``, and the
+    boundary mass it puts on an ambient top."""
     *below, top = base.weights.tolist()
     solved = iter(q_below)
-    q = np.array([next(solved) if w > 0.0 else 0.0 for w in below]
-                 + [top / r if top > 0.0 else 0.0])
-    boundary_mass = 0.0
-    if r == 0.0:  # the boundary branch, which has no top mass
-        boundary_mass = q[-1] = max(1.0 - float(q.sum()), 0.0)
-    return WeightedValues(base.values, q / q.sum()), boundary_mass
+    q = [next(solved) if w > 0.0 else 0.0 for w in below]
+    # r = 0 on the boundary branch alone, which has no top mass
+    boundary_mass = 0.0 if r > 0.0 else max(1.0 - math.fsum(q), 0.0)
+    q.append(top / r if r > 0.0 else boundary_mass)
+    total = math.fsum(q)
+    return WeightedValues(base.values, [x / total for x in q]), boundary_mass
 
 
 def cgf_bound_scaled(dp: DPSpec, lam: float, u: float) -> float:
@@ -262,16 +256,17 @@ def gamma_log_mgf(dp: DPSpec) -> float:
     Equals -alpha * E_base[log(1 - v)]; requires every payoff value <= 1
     and zero base mass at the value 1 exactly.
     """
-    return _gamma_log_mgf(dp.alpha, dp.base.v_max, *dp.base.positive())
+    v, p = dp.base.positive()
+    return _gamma_log_mgf(dp.alpha, dp.base.v_max, v.tolist(), p.tolist())
 
 
-def _gamma_log_mgf(alpha: float, v_max: float, v: np.ndarray, p: np.ndarray) -> float:
+def _gamma_log_mgf(alpha: float, v_max: float, v: list[float], p: list[float]) -> float:
     """:func:`gamma_log_mgf` of a payoff with top value ``v_max`` and positive atoms (v, p)."""
     if v_max > 1.0:
         raise ValueError("all payoff values must be <= 1")
-    if v.size and v[-1] == 1.0:
+    if v and v[-1] == 1.0:
         raise ValueError("base mass at payoff value 1 is not allowed")
-    return -alpha * float((p * np.log1p(-v)).sum())
+    return -alpha * math.fsum(p_i * math.log1p(-v_i) for v_i, p_i in zip(v, p))
 
 
 def _excess_log_ratio(t: float) -> float:

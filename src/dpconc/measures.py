@@ -85,8 +85,7 @@ class WeightedValues:
         # some rule fails: find the first, in the order of the messages
         if (w < 0).any() or not np.isfinite(w).all():
             raise ValueError("weights must be finite and nonnegative")
-        if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")
+        raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")
 
     # -- basic geometry --------------------------------------------------
     @property

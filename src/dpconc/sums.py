@@ -159,12 +159,16 @@ def _region(comps, budget: float) -> tuple[float, float, _Outer]:
         offset += w * (sum(p * lg for p, lg in terms) - mass * outer.logs[j])
         offset += w * top * math.log(top) if top > 0.0 else 0.0
         reach += v_max - mean
-    if reach <= 0.0:
-        # every live mean rounds to its top (or past it, by the weights'
-        # tolerance): the radius, between the means and the tops, is tops
-        return tops, 0.0, outer
     lo = (offset - scaled) / slope
-    tau = _root(h, lo, max(math.log(reach / budget), lo), lo, atol=_TAU_TOL)
+    if reach <= 0.0 or lo == -math.inf:
+        # every live mean rounds to its top (or past it, by the weights'
+        # tolerance), or the budget leaves lam below e^-1e308: the radius,
+        # between the means and the tops, is tops
+        return tops, 0.0, outer
+    # reach / budget can round to 0 on a narrow range: take the logs apart
+    ratio = reach / budget
+    hi = math.log(ratio) if ratio > 0.0 else math.log(reach) - math.log(budget)
+    tau = _root(h, lo, max(hi, lo), lo, atol=_TAU_TOL)
     lam = math.exp(tau)
     radius = lam * budget + tops
     for _, kappa, (_, _, gap, kl, _) in outer.solve(tau):

@@ -90,12 +90,12 @@ def chernoff_minimum_gamma(dp: DPSpec, u: float) -> float:
     v - u and the positive atoms are formed once per call."""
     hi = 1.0 / _top_gap(dp, u)
     shifted, positive = dp.base.values - u, dp.base.weights > 0
-    p = dp.base.weights[positive]
+    p = dp.base.weights[positive].tolist()
 
     def objective(lam: float) -> float:
         payoff = np.minimum(lam * shifted, 1.0)
         _check_values(payoff)
-        return _gamma_log_mgf(dp.alpha, payoff[-1], payoff[positive], p)
+        return _gamma_log_mgf(dp.alpha, payoff[-1], payoff[positive].tolist(), p)
 
     return _minimize_convex(objective, 0.0, hi)
 

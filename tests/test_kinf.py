@@ -245,6 +245,17 @@ class TestKinfInverse:
         assert base.mean >= base.v_max == top
         assert kinf_inverse(base, budget) == top
 
+    def test_huge_budget_gives_top(self):
+        # the lower end of the multiplier's bracket, log lam of order
+        # -budget / mass, overflows to -inf, where the radius rounds to the top
+        base = canonicalize([(0.0, 1e-10), (1.0, 1.0)])
+        assert kinf_inverse(base, 1e300) == 1.0
+
+    def test_narrow_base_gives_top(self):
+        # the bracket's reach / budget, 5e-301 / 1e30, rounds to 0
+        base = canonicalize([(0.0, 0.5), (1e-300, 0.5)])
+        assert kinf_inverse(base, 1e30) == 1e-300
+
     @settings(max_examples=25)
     @given(measures(min_atoms=2))
     def test_roundtrip_with_kinf(self, base):

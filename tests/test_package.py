@@ -32,6 +32,24 @@ def test_every_declared_name_exists():
             assert hasattr(module, name), f"dpconc.{mod}.{name}"
 
 
+def _imports(source: str) -> set[str]:
+    """The top-level names of every module that ``source`` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_kernel_modules_import_no_numpy():
+    # the conjugate kernel and the bounds read off it run on math alone
+    for mod in ("cgf", "sums", "kinf"):
+        source = inspect.getsource(_module(mod))
+        assert "numpy" not in _imports(source), f"dpconc.{mod} imports numpy"
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 

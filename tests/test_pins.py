@@ -20,11 +20,25 @@ by 1.4e-13; kinf's diagnostic, now summed from the witness, moved by up to
 1.9e-13 and lies within 2.2e-16 of its exact value 1 at every interior
 optimum.  Q_k itself moved by rounding and is held to an exactly rounded
 enumeration; the rejections of the references and the split moments are
-pinned by type and message.  The bases have 1-12 atoms (1-8 for the
-references), some with no mass at the top or the bottom value (ambient
-atoms) and some point masses; the sums have 1-4 components.  numpy's
-``log`` is dispatched on the CPU's vector instructions and can differ by an
-ulp between instruction sets; the pins were computed with AVX-512 dispatch.
+pinned by type and message.
+
+Five were recomputed again when the solver views, the witnesses and the
+Gamma log-MGF moved from numpy to ``math``: each gap's log from ``np.log``
+to ``math.log``, and the witness and Gamma sums from numpy's pairwise sum
+to ``math.fsum``.  Field by field against their values before, on the same
+inputs: cgf_bound moved 848 of 16,076 fields, all witness weights and
+boundary masses (no value or c_star), by at most 1.7e-14 relative;
+cgf_bound_scaled 1 of 1,000, by 4.0e-15; region_radius 1,837 of 34,628, all
+witness weights but one lambda_star, by 3.1e-15; sum_tail 2 of 3,195, by
+5.7e-14 (a tail of 4.1e-53); chernoff_minimum_gamma 137 of 300, by 1.1e-14.
+kinf, kinf_inverse, tail_bound_single, min_scaled_conjugate and r_k did not
+move.
+
+The bases have 1-12 atoms (1-8 for the references), some with no mass at
+the top or the bottom value (ambient atoms) and some point masses; the sums
+have 1-4 components.  On the solvers' path numpy takes only the dot product
+of ``base.mean``, whose rounding can depend on the CPU's vector
+instructions; the pins were computed with AVX-512 dispatch.
 """
 
 import hashlib
@@ -170,9 +184,9 @@ def _r_k(rng):
 
 FAMILIES = {
     "cgf_bound": (_cgf_bound,
-        "cae0fb29b46dbb124f6365fe7129f7205e09a2f956dbdbc9e10aac4e97b79b5c"),
+        "718a868257c4c9eeea75ddcf6d0a3993f98a31eb4f2694f477ff0f50fc9d1e93"),
     "cgf_bound_scaled": (_cgf_bound_scaled,
-        "908603d5bce73cfe3d3a86eee2676d6508880274c163e326d38321e2c7f2e03b"),
+        "5ff07b2963a53cdea5ab0a4f98020344602e70d1c8a8bf35895aba375e71d576"),
     "kinf": (_kinf,
         "a9d476ec90a5bb5df10d8dc13e46d24e3aae043092054daf7187aee9ef7d7cd4"),
     "kinf_inverse": (_kinf_inverse,
@@ -180,13 +194,13 @@ FAMILIES = {
     "tail_bound_single": (_tail_bound_single,
         "8eeb0254e4e390cc83838f4b002b6f959acdf16a5d90247e4cfe0541f1f4e203"),
     "region_radius": (_region_radius,
-        "de64bc1fbdeb5ff8f07371b55d1578304b35ca8e9c84f7c6e9c75f3b51b4e112"),
+        "b0f5d8bd3e90b2f971e5051322d508d0ed7d81dc506385680a4b5e20a45dc56b"),
     "sum_tail": (_sum_tail,
-        "b4a8723c730ee4660e3c9f8b25d9734522c5a44dc63e4e58500daa2fdcf754cb"),
+        "f825450cac4bdc1f0aae52c2cf7a1bc5aaa615dd3eac3267cbd955376c92fbc9"),
     "min_scaled_conjugate": (_min_scaled_conjugate,
         "26308d609abdd953aea52bb8b9ec3503a59361cc405446c0277d15273db3e343"),
     "chernoff_minimum_gamma": (_chernoff_minimum_gamma,
-        "bad7017c0726d15145373849f5ce5a5d51b51c02d0acec5ae360ce671485498b"),
+        "f2b6026d29bcb1cc9bad1517e6f4ea318dbba21f6a59cf625c65654b8c0a2fa3"),
     "r_k": (_r_k,
         "3f6c7284d36ec4e5619eb7508cfcb9002599d0ed3c98afd8f5c526f582363082"),
 }
