@@ -113,9 +113,9 @@ class _View(NamedTuple):
 
 
 def _atoms(base: WeightedValues) -> _View:
-    """The solver view of ``base``, from one list of its values and one of its
-    weights; numpy takes only the dot product of ``base.mean``."""
-    values, weights = base.values.tolist(), base.weights.tolist()
+    """The solver view of ``base``, read off its float core; numpy takes only
+    the dot product of ``base.mean``."""
+    values, weights = base.value_core, base.weight_core
     v_max = values[-1]
     terms = [(w, math.log(v_max - v)) for v, w in zip(values, weights[:-1]) if w > 0.0]
     return _View(values[0], v_max, base.mean if terms else v_max, weights[-1], terms)
@@ -222,14 +222,14 @@ def _witness(base: WeightedValues, r: float, q_below) -> tuple[WeightedValues, f
     """Witness measure on the atoms of ``base`` from a :func:`_conjugate`
     solution, filled in a list and normalized by its ``math.fsum``, and the
     boundary mass it puts on an ambient top."""
-    *below, top = base.weights.tolist()
+    *below, top = base.weight_core
     solved = iter(q_below)
     q = [next(solved) if w > 0.0 else 0.0 for w in below]
     # r = 0 on the boundary branch alone, which has no top mass
     boundary_mass = 0.0 if r > 0.0 else max(1.0 - math.fsum(q), 0.0)
     q.append(top / r if r > 0.0 else boundary_mass)
     total = math.fsum(q)
-    return WeightedValues(base.values, [x / total for x in q]), boundary_mass
+    return WeightedValues(base.value_core, [x / total for x in q]), boundary_mass
 
 
 def cgf_bound_scaled(dp: DPSpec, lam: float, u: float) -> float:
@@ -256,17 +256,17 @@ def gamma_log_mgf(dp: DPSpec) -> float:
     Equals -alpha * E_base[log(1 - v)]; requires every payoff value <= 1
     and zero base mass at the value 1 exactly.
     """
-    v, p = dp.base.positive()
-    return _gamma_log_mgf(dp.alpha, dp.base.v_max, v.tolist(), p.tolist())
+    base = dp.base
+    return _gamma_log_mgf(dp.alpha, base.v_max, [a for a in base.atoms if a[1] > 0.0])
 
 
-def _gamma_log_mgf(alpha: float, v_max: float, v: list[float], p: list[float]) -> float:
-    """:func:`gamma_log_mgf` of a payoff with top value ``v_max`` and positive atoms (v, p)."""
+def _gamma_log_mgf(alpha: float, v_max: float, positive: list[tuple[float, float]]) -> float:
+    """:func:`gamma_log_mgf` of a payoff with top value ``v_max`` and (v, p) ``positive`` atoms."""
     if v_max > 1.0:
         raise ValueError("all payoff values must be <= 1")
-    if v and v[-1] == 1.0:
+    if positive and positive[-1][0] == 1.0:
         raise ValueError("base mass at payoff value 1 is not allowed")
-    return -alpha * math.fsum(p_i * math.log1p(-v_i) for v_i, p_i in zip(v, p))
+    return -alpha * math.fsum(p * math.log1p(-v) for v, p in positive)
 
 
 def _excess_log_ratio(t: float) -> float:

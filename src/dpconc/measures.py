@@ -11,7 +11,8 @@ empirical Bernoulli measure whose observed mean is 0 or 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -46,55 +47,112 @@ def kl_bernoulli(p: float, q: float) -> float:
     return p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
 
 
-def _check_values(v: np.ndarray) -> None:
-    """Raise unless the payoff values ``v`` are finite and strictly increasing."""
+def _check_values(v) -> None:
+    """Raise unless the payoff values ``v``, a sequence of floats, are finite and strictly increasing."""
     # increasing values with finite ends are all finite (NaN fails the comparison)
-    if not ((v[1:] > v[:-1]).all() and math.isfinite(v[0]) and math.isfinite(v[-1])):
-        raise ValueError("values must be finite" if not np.isfinite(v).all()
+    if not (all(map(operator.lt, v, v[1:])) and math.isfinite(v[0]) and math.isfinite(v[-1])):
+        raise ValueError("values must be finite" if not all(map(math.isfinite, v))
                          else "values must be strictly increasing")
 
 
-@dataclass(frozen=True, eq=False)
+def _weight_sum(w) -> float:
+    """``math.fsum`` of the finite nonnegative weights ``w``: inf where it passes the float range."""
+    try:
+        return math.fsum(w)
+    except OverflowError:
+        return math.inf
+
+
+_SHAPE = "values and weights must be 1-D arrays of equal length"
+
+
+def _floats(x) -> tuple[float, ...]:
+    """The one-dimensional ``x`` (a sequence or an array) as a tuple of Python floats."""
+    if isinstance(x, np.ndarray):
+        if x.ndim != 1:
+            raise ValueError(_SHAPE)
+        x = x.tolist()
+    try:
+        # through a list, so the tuple is made at its size: one grown from an
+        # iterator is resized, and the free lists of the small sizes would fill
+        return tuple(list(map(float, x)))
+    except TypeError:  # a scalar, or an entry that is itself a sequence
+        raise ValueError(_SHAPE) from None
+
+
+def _frozen(core: tuple[float, ...]) -> np.ndarray:
+    """``core`` as a read-only float64 array."""
+    array = np.array(core, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
 class WeightedValues:
     """Canonical pushforward of a probability measure through a payoff.
 
     ``values`` are strictly increasing finite floats; ``weights`` are
-    nonnegative and sum to 1 (within ``WEIGHT_SUM_TOL``).  Zero-weight
-    atoms carry ambient payoff levels.  Construct through
-    :func:`canonicalize` unless the arrays are already canonical.  A valid
-    measure is accepted in three array reductions: neighbouring values, least
-    weight and weight sum; one that fails is checked rule by rule for the message.
+    nonnegative and sum to 1 (within ``WEIGHT_SUM_TOL``, by ``math.fsum``).
+    Zero-weight atoms carry ambient payoff levels.  Construct through
+    :func:`canonicalize` unless the inputs are already canonical.
+
+    The measure is held as its core, ``value_core`` and ``weight_core``: two
+    tuples of Python floats, checked rule by rule in one pass in Python.  The
+    ``values`` and ``weights`` arrays are read-only float64 copies of the core,
+    built on first access; only ``mean`` and ``positive`` read them.
     """
 
-    values: np.ndarray
-    weights: np.ndarray
+    __slots__ = ("value_core", "weight_core", "_values", "_weights")
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "weights", w)
-        if v.ndim != 1 or w.ndim != 1 or v.shape != w.shape:
-            raise ValueError("values and weights must be 1-D arrays of equal length")
-        if v.size == 0:
+    def __init__(self, values, weights):
+        v, w = _floats(values), _floats(weights)
+        if len(v) != len(w):
+            raise ValueError(_SHAPE)
+        if not v:
             raise ValueError("at least one atom is required")
         _check_values(v)
-        # nonnegative weights summing to 1 are all finite
-        if w.min() >= 0.0 and abs(float(w.sum()) - 1.0) <= WEIGHT_SUM_TOL:
-            return
-        # some rule fails: find the first, in the order of the messages
-        if (w < 0).any() or not np.isfinite(w).all():
+        if not (all(map(math.isfinite, w)) and min(w) >= 0.0):
             raise ValueError("weights must be finite and nonnegative")
-        raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")
+        total = _weight_sum(w)
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            raise ValueError(f"weights must sum to 1, got {total!r}")
+        setattr_ = object.__setattr__
+        setattr_(self, "value_core", v)
+        setattr_(self, "weight_core", w)
+        setattr_(self, "_values", None)
+        setattr_(self, "_weights", None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return WeightedValues, (self.value_core, self.weight_core)
+
+    def __repr__(self) -> str:
+        return f"WeightedValues(values={self.value_core!r}, weights={self.weight_core!r})"
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            object.__setattr__(self, "_values", _frozen(self.value_core))
+        return self._values
+
+    @property
+    def weights(self) -> np.ndarray:
+        if self._weights is None:
+            object.__setattr__(self, "_weights", _frozen(self.weight_core))
+        return self._weights
 
     # -- basic geometry --------------------------------------------------
     @property
     def v_min(self) -> float:
-        return float(self.values[0])
+        return self.value_core[0]
 
     @property
     def v_max(self) -> float:
-        return float(self.values[-1])
+        return self.value_core[-1]
 
     @property
     def mean(self) -> float:
@@ -102,7 +160,7 @@ class WeightedValues:
 
     @property
     def atoms(self) -> list[tuple[float, float]]:
-        return [(float(v), float(w)) for v, w in zip(self.values, self.weights)]
+        return list(zip(self.value_core, self.weight_core))
 
     def positive(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, weights) restricted to atoms with positive weight."""
@@ -112,9 +170,7 @@ class WeightedValues:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedValues):
             return NotImplemented
-        return np.array_equal(self.values, other.values) and np.array_equal(
-            self.weights, other.weights
-        )
+        return self.value_core == other.value_core and self.weight_core == other.weight_core
 
     # -- JSON interchange -------------------------------------------------
     def to_dict(self) -> dict:
@@ -150,8 +206,9 @@ def canonicalize(pairs) -> WeightedValues:
         total = float(weights.sum())
     if not 0.0 < total < math.inf:
         raise ValueError(f"total weight must be a positive finite number, got {total!r}")
-    # renormalize only when needed so a canonical echo is bit-exact
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+    # renormalize only when needed so a canonical echo is bit-exact, by the
+    # weight-sum rule of WeightedValues, so that what is kept is accepted
+    if abs(_weight_sum(weights.tolist()) - 1.0) > WEIGHT_SUM_TOL:
         weights = weights / total
     return WeightedValues(values, weights)
 
@@ -163,16 +220,14 @@ def kl_discrete(nu0: WeightedValues, nu: WeightedValues) -> float:
     matching atoms by exact value; +inf when ``nu`` misses mass where
     ``nu0`` has some.
     """
-    pv, pw = nu0.positive()
-    idx = np.searchsorted(nu.values, pv)
+    q_of = dict(zip(nu.value_core, nu.weight_core))
     out = 0.0
-    for v, p, i in zip(pv, pw, idx):
-        if i >= nu.values.size or nu.values[i] != v:
-            return math.inf
-        q = float(nu.weights[i])
-        if q == 0.0:
-            return math.inf
-        out += p * math.log(p / q)
+    for v, p in zip(nu0.value_core, nu0.weight_core):
+        if p > 0.0:
+            q = q_of.get(v, 0.0)
+            if q == 0.0:
+                return math.inf
+            out += p * math.log(p / q)
     return out
 
 

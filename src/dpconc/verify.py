@@ -87,15 +87,14 @@ def _top_gap(dp: DPSpec, u: float) -> float:
 
 def chernoff_minimum_gamma(dp: DPSpec, u: float) -> float:
     """min over lam in [0, 1/(v_max - u)] of the Gamma log-MGF at lam (v - u);
-    v - u and the positive atoms are formed once per call."""
+    v - u is formed once per call, from the base's float core."""
     hi = 1.0 / _top_gap(dp, u)
-    shifted, positive = dp.base.values - u, dp.base.weights > 0
-    p = dp.base.weights[positive].tolist()
+    shifted, weights = [v - u for v in dp.base.value_core], dp.base.weight_core
 
     def objective(lam: float) -> float:
-        payoff = np.minimum(lam * shifted, 1.0)
+        payoff = [min(lam * x, 1.0) for x in shifted]
         _check_values(payoff)
-        return _gamma_log_mgf(dp.alpha, payoff[-1], payoff[positive].tolist(), p)
+        return _gamma_log_mgf(dp.alpha, payoff[-1], [a for a in zip(payoff, weights) if a[1] > 0.0])
 
     return _minimize_convex(objective, 0.0, hi)
 

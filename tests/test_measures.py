@@ -1,7 +1,9 @@
 import json
 import math
+import pickle
 import re
 import warnings
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -193,7 +195,7 @@ class TestWeightedValuesValidation:
     @pytest.mark.parametrize("off", [2e-12, -2e-12, 1.1e-12, 0.5, -0.25])
     def test_bad_sum(self, off):
         weights = np.array([0.5, 0.5 + off])
-        got = float(weights.sum())
+        got = math.fsum(weights.tolist())
         with pytest.raises(ValueError, match=f"^weights must sum to 1, got {re.escape(repr(got))}$"):
             WeightedValues(np.array([0.0, 1.0]), weights)
 
@@ -212,7 +214,7 @@ class TestWeightedValuesValidation:
     @pytest.mark.parametrize("off", [9.99e-13, -9.99e-13, 5e-13])
     def test_sum_within_tolerance_accepted(self, off):
         weights = np.array([0.5, 0.5 + off])
-        assert abs(float(weights.sum()) - 1.0) <= 1e-12
+        assert abs(math.fsum(weights.tolist()) - 1.0) <= 1e-12
         m = WeightedValues(np.array([0.0, 1.0]), weights)
         assert m.weights.tobytes() == weights.tobytes()
 
@@ -225,9 +227,11 @@ class TestWeightedValuesValidation:
         assert WeightedValues(np.array([5.0]), np.array([1.0])).atoms == [(5.0, 1.0)]
 
     @given(st.lists(st.tuples(st.sampled_from([NAN, INF, -INF, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0]),
-                              st.sampled_from([NAN, INF, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0])),
-                    min_size=1, max_size=4))
-    def test_matches_rule_by_rule(self, pairs):
+                              st.sampled_from([NAN, INF, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0,
+                                               0.125, 0.0625, 1e-13])),
+                    min_size=1, max_size=12),
+           st.sampled_from([list, tuple, np.array]))
+    def test_matches_rule_by_rule(self, pairs, kind):
         v, w = np.array(pairs).T
         if not np.isfinite(v).all():
             want = "values must be finite"
@@ -235,12 +239,12 @@ class TestWeightedValuesValidation:
             want = "values must be strictly increasing"
         elif (w < 0).any() or not np.isfinite(w).all():
             want = "weights must be finite and nonnegative"
-        elif abs(float(w.sum()) - 1.0) > 1e-12:
-            want = f"weights must sum to 1, got {float(w.sum())!r}"
+        elif abs(math.fsum(w.tolist()) - 1.0) > 1e-12:
+            want = f"weights must sum to 1, got {math.fsum(w.tolist())!r}"
         else:
             want = None
         try:
-            WeightedValues(v, w)
+            WeightedValues(kind(v.tolist()), kind(w.tolist()))
             got = None
         except ValueError as e:
             got = str(e)
@@ -266,6 +270,41 @@ class TestWeightedValuesValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             WeightedValues(np.array([]), np.array([]))
+
+    def test_sum_rule_is_fsum_past_eight_atoms(self):
+        # numpy's sum takes eight lanes from eight atoms on; the rule stays math.fsum,
+        # which keeps these weights that numpy's sum puts an ulp past the edge
+        weights = [0.04224133014719165, 0.04984486854326576, 0.11761127001296384,
+                   0.06858232995551838, 0.0707207534924287, 0.008499701881725729,
+                   0.058164573653850075, 0.30881024353433884, 0.007342242635562482,
+                   0.12700754472728054, 0.0012986333911745743, 0.1398765080256994]
+        assert abs(math.fsum(weights) - 1.0) <= 1e-12 < abs(float(np.sum(weights)) - 1.0)
+        assert WeightedValues(range(12), weights).weight_core == tuple(weights)
+        assert canonicalize(zip(range(12), weights)).weight_core == tuple(weights)
+
+    def test_sum_overflow_is_reported_as_inf(self):
+        with pytest.raises(ValueError, match="^weights must sum to 1, got inf$"):
+            WeightedValues([0.0, 1.0], [1e308, 1e308])
+
+    def test_arrays_are_read_only_copies_of_the_core(self):
+        m = canonicalize([(0.0, 0.25), (0.5, 0.25), (2.0, 0.5)])
+        with pytest.raises(ValueError, match="read-only"):
+            m.weights[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            m.values[0] = -1.0
+        assert m.values.dtype == m.weights.dtype == np.float64
+        assert m.values.tolist() == list(m.value_core) == [0.0, 0.5, 2.0]
+        assert m.weights.tolist() == list(m.weight_core) == [0.25, 0.25, 0.5]
+        assert m.values is m.values and m.weights is m.weights
+
+    def test_immutable_and_picklable(self):
+        m = canonicalize([(0.0, 0.25), (2.0, 0.75)])
+        with pytest.raises(AttributeError):
+            m.value_core = (1.0, 2.0)
+        with pytest.raises(AttributeError):
+            del m.weight_core
+        for copy in (pickle.loads(pickle.dumps(m)), deepcopy(m)):
+            assert copy == m and copy.weights.tobytes() == m.weights.tobytes()
 
     def test_geometry(self):
         m = canonicalize([(0.0, 0.25), (0.5, 0.25), (2.0, 0.5)])

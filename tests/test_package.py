@@ -50,6 +50,15 @@ def test_kernel_modules_import_no_numpy():
         assert "numpy" not in _imports(source), f"dpconc.{mod} imports numpy"
 
 
+def test_kernel_modules_read_measures_by_their_float_core():
+    # the arrays of a measure are built on first access: the kernel never asks for them
+    for mod in ("cgf", "sums", "kinf"):
+        tree = ast.parse(inspect.getsource(_module(mod)))
+        reads = sorted({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+                       & {"values", "weights", "positive"})
+        assert not reads, f"dpconc.{mod} reads {reads} off a measure"
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 

@@ -34,10 +34,15 @@ witness weights but one lambda_star, by 3.1e-15; sum_tail 2 of 3,195, by
 kinf, kinf_inverse, tail_bound_single, min_scaled_conjugate and r_k did not
 move.
 
+No pin moved when ``WeightedValues`` took its float core (two tuples of
+Python floats, validated in Python, with read-only arrays built on first
+access) and the solver views, the witnesses, kl_discrete, the Gamma log-MGF
+and chernoff_minimum_gamma came to read that core instead of the arrays.
+
 The bases have 1-12 atoms (1-8 for the references), some with no mass at
 the top or the bottom value (ambient atoms) and some point masses; the sums
-have 1-4 components.  On the solvers' path numpy takes only the dot product
-of ``base.mean``, whose rounding can depend on the CPU's vector
+have 1-4 components.  On the solvers' path only ``base.mean`` still reads
+numpy: its dot product, whose rounding can depend on the CPU's vector
 instructions; the pins were computed with AVX-512 dispatch.
 """
 
