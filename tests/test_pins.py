@@ -44,6 +44,12 @@ the top or the bottom value (ambient atoms) and some point masses; the sums
 have 1-4 components.  On the solvers' path only ``base.mean`` still reads
 numpy: its dot product, whose rounding can depend on the CPU's vector
 instructions; the pins were computed with AVX-512 dispatch.
+
+The three samplers are pinned on DPs of 1-8 atoms with alpha in e^±3, the
+same kinds of bases, and stick-breaking tolerances from 1e-9 to 1e-1 (about
+one draw in eleven takes more than one chunk of sticks).  Each case draws
+from the family's generator and hashes its next two uniforms too, so that a
+sampler must also leave the stream where it was.
 """
 
 import hashlib
@@ -57,7 +63,13 @@ from oracles import qk_enumerate
 from dpconc.cgf import cgf_bound, cgf_bound_scaled
 from dpconc.kinf import kinf, kinf_inverse, tail_bound_single
 from dpconc.measures import DPSpec, canonicalize
-from dpconc.sampler import moment_nested, qk_rk
+from dpconc.sampler import (
+    moment_nested,
+    qk_rk,
+    sample_exact,
+    sample_payoff_means,
+    sample_stick_breaking,
+)
 from dpconc.sums import SumSpec, region_radius, sum_tail
 from dpconc.verify import chernoff_minimum_gamma, min_scaled_conjugate
 
@@ -187,6 +199,30 @@ def _r_k(rng):
     _, r = qk_rk(alpha, beta, masses, k)
     return _floats(r, moment_nested(DPSpec(alpha, POINT), np.sort(masses)))
 
+
+def _sampler_dp(rng):
+    return DPSpec(math.exp(rng.uniform(-3.0, 3.0)), _base(rng, 8))
+
+
+def _draw(sample, rng) -> bytes:
+    return sample.values.tobytes() + sample.weights.tobytes() + rng.random(2).tobytes()
+
+
+def _sample_stick_breaking(rng):
+    dp = _sampler_dp(rng)
+    return _draw(sample_stick_breaking(dp, rng, 10.0 ** -rng.uniform(1.0, 9.0)), rng)
+
+
+def _sample_exact(rng):
+    return _draw(sample_exact(_sampler_dp(rng), rng), rng)
+
+
+def _sample_payoff_means(rng):
+    dp = _sampler_dp(rng)
+    means = sample_payoff_means(dp, int(rng.integers(1, 21)), rng)
+    return means.tobytes() + rng.random(2).tobytes()
+
+
 FAMILIES = {
     "cgf_bound": (_cgf_bound,
         "718a868257c4c9eeea75ddcf6d0a3993f98a31eb4f2694f477ff0f50fc9d1e93"),
@@ -208,6 +244,12 @@ FAMILIES = {
         "f2b6026d29bcb1cc9bad1517e6f4ea318dbba21f6a59cf625c65654b8c0a2fa3"),
     "r_k": (_r_k,
         "3f6c7284d36ec4e5619eb7508cfcb9002599d0ed3c98afd8f5c526f582363082"),
+    "sample_stick_breaking": (_sample_stick_breaking,
+        "7b0788ba7aac68d69a9938970d0b64c20bf04ab423b432c875583555b902778a"),
+    "sample_exact": (_sample_exact,
+        "a5da3f29ca88d065ff5293ec81bf38ce6c2d9caf4d341c6279a3d0c53a198549"),
+    "sample_payoff_means": (_sample_payoff_means,
+        "5484af7c25e7da37f8c992f3b0a0b1da098b2e1a4a22b4273acc0b19defcb3dd"),
 }
 # the two references take about a millisecond a call
 CASES = {"min_scaled_conjugate": 300, "chernoff_minimum_gamma": 300}
