@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -136,6 +137,7 @@ def _cmd_bandit(args):
     return run_summary(instance, args.policy, args.seed, traces)
 
 
+@functools.cache  # built on the first main() call, then shared by later calls in the process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpconc",

@@ -98,7 +98,7 @@ class WeightedValues:
     The measure is held as its core, ``value_core`` and ``weight_core``: two
     tuples of Python floats, checked rule by rule in one pass in Python.  The
     ``values`` and ``weights`` arrays are read-only float64 copies of the core,
-    built on first access; only ``mean`` and ``positive`` read them.
+    built on first access; only ``mean`` reads them.
     """
 
     __slots__ = ("value_core", "weight_core", "_values", "_weights")
@@ -163,9 +163,10 @@ class WeightedValues:
         return list(zip(self.value_core, self.weight_core))
 
     def positive(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, weights) restricted to atoms with positive weight."""
-        mask = self.weights > 0
-        return self.values[mask], self.weights[mask]
+        """(values, weights) restricted to atoms with positive weight, as new arrays."""
+        w = self.weight_core
+        values = [v for v, p in zip(self.value_core, w) if p > 0.0]
+        return np.array(values), np.array([p for p in w if p > 0.0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedValues):

@@ -4,10 +4,11 @@ Two sampling routes target the same law and cross-validate each other:
 finite-support exact sampling (Dirichlet weights over the positive
 atoms, i.e. normalized Gamma draws) and the stick-breaking construction
 truncated at a residual tolerance.  Stick-breaking draws its fractions
-in whole chunks and its atoms in one call, with the same truncation rule
-as breaking one stick at a time.  The moment oracles -- the nested-set
-product formula and the split polynomials Q_k / R_k, by a recursion over
-set counts -- are exact and validate every bound in the package against simulation.
+in whole chunks, with the same truncation rule as breaking one stick at a
+time, and its atoms by one inverse-CDF search over the positive weights.
+The moment oracles -- the nested-set product formula and the split
+polynomials Q_k / R_k, by a recursion over set counts -- are exact and
+validate every bound in the package against simulation.
 
 All sampling takes an explicit numpy Generator; equal seeds give
 bit-identical output.
@@ -87,8 +88,12 @@ def sample_stick_breaking(
     at a time.  Sticks are broken while the leftover is at least
     ``residual_tol``; the final leftover is handed to one extra atom, so
     weights always sum to 1.  Atom locations come iid from the base, all
-    in one draw after the fractions.  Equal seeds give bit-identical
-    draws.
+    after the fractions: one uniform per atom, even for a one-atom base,
+    located by a search of the base's cumulative positive weights
+    (normalized by their last entry).  This is the draw numpy's
+    ``Generator.choice`` makes, written out here, so the stream is fixed
+    by this module and not by ``choice``'s checks.  Equal seeds give
+    bit-identical draws.
     """
     if not (0.0 < residual_tol < 1.0):
         raise ValueError("residual_tol must be in (0,1)")
@@ -96,16 +101,21 @@ def sample_stick_breaking(
     chunk = int(dp.alpha * math.log(1.0 / residual_tol)) + 8
     weights = []
     remaining = 1.0
+    left = np.empty(chunk + 1)
     while remaining >= residual_tol:
         frac = rng.beta(1.0, dp.alpha, size=chunk)
-        left = np.cumprod(np.concatenate(([remaining], 1.0 - frac)))
+        left[0] = remaining
+        np.subtract(1.0, frac, out=left[1:])
+        left.cumprod(out=left)
         # left[0] = remaining, so 0 means no leftover in this chunk is small
-        n = int(np.argmax(left < residual_tol)) or chunk
+        n = int((left < residual_tol).argmax()) or chunk
         weights.append(frac[:n] * left[:n])
         remaining = float(left[n])
     weights.append([remaining])
     w = np.concatenate(weights)
-    return DPSample(rng.choice(v, size=w.size, p=p), w)
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return DPSample(v[cdf.searchsorted(rng.random(w.size), side="right")], w)
 
 
 def _nested_product(conc: float, a: list[float]) -> float:
@@ -166,11 +176,14 @@ def mc_log_mgf(dp: DPSpec, n: int, rng: np.random.Generator) -> tuple[float, flo
     """Monte Carlo estimate of log E[exp(E_X[v])] with a delta-method error.
 
     Returns (log of the sample mean of exp(E_X[v]), standard error of
-    that logarithm).
+    that logarithm).  The exponentials are taken after subtracting the
+    largest draw, so that no payoff scale overflows them.
     """
-    y = np.exp(sample_payoff_means(dp, n, rng))
+    x = sample_payoff_means(dp, n, rng)
+    top = float(x.max())
+    y = np.exp(x - top)
     m = float(y.mean())
     if n == 1:
-        return math.log(m), math.inf
+        return top + math.log(m), math.inf
     se = float(y.std(ddof=1)) / math.sqrt(n) / m
-    return math.log(m), se
+    return top + math.log(m), se

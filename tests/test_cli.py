@@ -235,6 +235,20 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.strip() == "False"
 
 
+def test_parser_is_built_on_the_first_call_then_reused(capsys, measure_file):
+    code = "import dpconc.cli; print(dpconc.cli._build_parser.cache_info().currsize)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "0"
+    from dpconc.cli import _build_parser
+
+    first = run_cli(capsys, "--precision", "kinf", measure_file, "-u", "0.75")
+    assert run_cli(capsys, "kinf", measure_file, "-u", "0.75") != first
+    assert run_cli(capsys, "--precision", "kinf", measure_file, "-u", "0.75") == first
+    assert _build_parser.cache_info().currsize == 1
+
+
 class TestVerifyCommand:
     def test_duality_suite_passes(self, capsys):
         code, out, _ = run_cli(

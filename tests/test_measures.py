@@ -297,6 +297,13 @@ class TestWeightedValuesValidation:
         assert m.weights.tolist() == list(m.weight_core) == [0.25, 0.25, 0.5]
         assert m.values is m.values and m.weights is m.weights
 
+    def test_positive_part_is_read_off_the_core(self):
+        m = canonicalize([(0.0, 0.0), (0.5, 0.25), (1.0, 0.0), (2.0, 0.75)])
+        v, w = m.positive()
+        assert v.tolist() == [0.5, 2.0] and w.tolist() == [0.25, 0.75]
+        assert v.dtype == w.dtype == np.float64 and v.flags.writeable
+        assert m._values is None and m._weights is None  # the lazy arrays stay unbuilt
+
     def test_immutable_and_picklable(self):
         m = canonicalize([(0.0, 0.25), (2.0, 0.75)])
         with pytest.raises(AttributeError):

@@ -252,13 +252,23 @@ class TestMcLogMgf:
         assert se == pytest.approx(0.0, abs=1e-12)
 
     def test_one_sample_has_infinite_error(self):
-        # one draw has no sample deviation: the estimate is that draw's
-        # log-MGF term and its standard error is inf
+        # one draw has no sample deviation: the estimate is that draw itself
+        # and its standard error is inf
         dp = DPSpec(1.0, BER_HALF)
         draw = float(sample_payoff_means(dp, 1, np.random.default_rng(13))[0])
         est, se = mc_log_mgf(dp, 1, np.random.default_rng(13))
-        assert est == math.log(math.exp(draw))
+        assert est == draw
         assert se == math.inf
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shift", [-1e6, -1000.0, 1000.0, 1e6])
+    def test_shifted_payoffs_shift_the_estimate(self, shift):
+        # exp(E_X[v]) overflows past 709: the estimate must not depend on the payoff scale
+        est, se = mc_log_mgf(DPSpec(2.0, BER_HALF), 2000, np.random.default_rng(14))
+        shifted = DPSpec(2.0, canonicalize([(shift, 0.5), (shift + 1.0, 0.5)]))
+        est_s, se_s = mc_log_mgf(shifted, 2000, np.random.default_rng(14))
+        assert est_s == pytest.approx(est + shift, rel=1e-12, abs=0.0)
+        assert se_s == pytest.approx(se, rel=1e-6, abs=0.0)
 
     def test_below_conjugate_bound(self):
         from dpconc.cgf import cgf_bound
