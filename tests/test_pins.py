@@ -50,6 +50,10 @@ same kinds of bases, and stick-breaking tolerances from 1e-9 to 1e-1 (about
 one draw in eleven takes more than one chunk of sticks).  Each case draws
 from the family's generator and hashes its next two uniforms too, so that a
 sampler must also leave the stream where it was.
+
+The canonicalize family pins the measures built from raw pairs: 1-20 pairs
+in no order, with repeated values, signed zeros and zero weights, totalling
+about 1 (some within 2e-12 of it), 1e-300 to 1e300, or past the float range.
 """
 
 import hashlib
@@ -223,6 +227,32 @@ def _sample_payoff_means(rng):
     return means.tobytes() + rng.random(2).tobytes()
 
 
+def _canonicalize(rng):
+    """1-20 raw pairs in no order, with repeated values, signed zeros and zero
+    weights, totalling about 1 (some within 2e-12 of it), 1e-300 to 1e300, or
+    past the float range."""
+    n = int(rng.integers(1, 21))
+    pool = np.r_[rng.normal(size=n), 0.0, -0.0]
+    kind = rng.random()
+    if kind < 0.1 or rng.random() < 0.3:
+        values = rng.permutation(pool)[:n]  # no repeats but the signed zeros
+    else:
+        values = rng.choice(pool, size=n)
+    if kind < 0.1:
+        # finite weights, and merged ones, whose total passes the float range
+        weights = rng.uniform(0.25, 0.5, n) * 1.7e308
+    elif kind < 0.4:
+        weights = rng.dirichlet(np.ones(n))
+    elif kind < 0.55:
+        weights = rng.dirichlet(np.ones(n)) * (1.0 + rng.uniform(-2e-12, 2e-12))
+    else:
+        weights = rng.random(n) * 10.0 ** rng.uniform(-300.0, 300.0)
+    weights[rng.random(n) < 0.2] = 0.0
+    if not weights.any():
+        weights[-1] = 1.0
+    return _measure(canonicalize(zip(values.tolist(), weights.tolist())))
+
+
 FAMILIES = {
     "cgf_bound": (_cgf_bound,
         "718a868257c4c9eeea75ddcf6d0a3993f98a31eb4f2694f477ff0f50fc9d1e93"),
@@ -250,6 +280,8 @@ FAMILIES = {
         "a5da3f29ca88d065ff5293ec81bf38ce6c2d9caf4d341c6279a3d0c53a198549"),
     "sample_payoff_means": (_sample_payoff_means,
         "5484af7c25e7da37f8c992f3b0a0b1da098b2e1a4a22b4273acc0b19defcb3dd"),
+    "canonicalize": (_canonicalize,
+        "93db2610c8bb5088ef249503f723fbb2fa7d43ee41746817dd75facfe3eaab49"),
 }
 # the two references take about a millisecond a call
 CASES = {"min_scaled_conjugate": 300, "chernoff_minimum_gamma": 300}
