@@ -44,9 +44,7 @@ class BanditInstance:
 
     def __init__(self, n: int, m: int, block_means):
         block_means = tuple(float(p) for p in block_means)
-        if n != int(n) or m != int(m):
-            raise ValueError("n and m must be integers")
-        n, m = int(n), int(m)
+        n, m = _integer(n, "n and m"), _integer(m, "n and m")
         if n <= 0 or m <= 0 or n % m != 0:
             raise ValueError("m must divide n and both must be positive")
         if len(block_means) != n // m:

@@ -26,8 +26,7 @@ solved in closed form by ``_quadratic_root``; otherwise it is solved by
 ``kinf_inverse`` (the KL-UCB index) and the single-process Chernoff tail
 ``tail_bound_single`` are outer roots of ``_root`` over this kernel.
 
-Also here: the Gamma-process log-MGF and the closed-form bound for Beta
-random variables.
+Also here: the closed-form bound for Beta random variables.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
     "CgfBoundResult",
     "cgf_bound",
     "cgf_bound_scaled",
-    "gamma_log_mgf",
     "beta_cgf_bound",
 ]
 
@@ -113,8 +111,7 @@ class _View(NamedTuple):
 
 
 def _atoms(base: WeightedValues) -> _View:
-    """The solver view of ``base``, read off its float core; numpy takes only
-    the dot product of ``base.mean``."""
+    """The solver view of ``base``, read off its float core."""
     values, weights = base.value_core, base.weight_core
     v_max = values[-1]
     terms = [(w, math.log(v_max - v)) for v, w in zip(values, weights[:-1]) if w > 0.0]
@@ -248,25 +245,6 @@ def _scaled_conjugate(view: _View, alpha: float, lam: float, u: float) -> float:
     # the gaps to the top scale by lam, so the concentration scales by 1/lam
     _, _, gap, kl, _ = _conjugate(view.top, view.terms, math.log(alpha) - math.log(lam))
     return lam * (view.v_max - u) - alpha * (gap + kl)
-
-
-def gamma_log_mgf(dp: DPSpec) -> float:
-    """Log-MGF of the Gamma process with shape alpha * base at the payoff.
-
-    Equals -alpha * E_base[log(1 - v)]; requires every payoff value <= 1
-    and zero base mass at the value 1 exactly.
-    """
-    base = dp.base
-    return _gamma_log_mgf(dp.alpha, base.v_max, [a for a in base.atoms if a[1] > 0.0])
-
-
-def _gamma_log_mgf(alpha: float, v_max: float, positive: list[tuple[float, float]]) -> float:
-    """:func:`gamma_log_mgf` of a payoff with top value ``v_max`` and (v, p) ``positive`` atoms."""
-    if v_max > 1.0:
-        raise ValueError("all payoff values must be <= 1")
-    if positive and positive[-1][0] == 1.0:
-        raise ValueError("base mass at payoff value 1 is not allowed")
-    return -alpha * math.fsum(p * math.log1p(-v) for v, p in positive)
 
 
 def _excess_log_ratio(t: float) -> float:

@@ -96,12 +96,13 @@ class WeightedValues:
     :func:`canonicalize` unless the inputs are already canonical.
 
     The measure is held as its core, ``value_core`` and ``weight_core``: two
-    tuples of Python floats, checked rule by rule in one pass in Python.  The
-    ``values`` and ``weights`` arrays are read-only float64 copies of the core,
-    built on first access; only ``mean`` reads them.
+    tuples of Python floats, checked rule by rule in one pass in Python.  Its
+    weight total and its ``mean`` are taken from the core by ``math.fsum``.
+    The ``values`` and ``weights`` arrays are read-only float64 copies of the
+    core, made anew on each access for callers that want arrays.
     """
 
-    __slots__ = ("value_core", "weight_core", "_values", "_weights")
+    __slots__ = ("value_core", "weight_core")
 
     def __init__(self, values, weights):
         v, w = _floats(values), _floats(weights)
@@ -115,11 +116,8 @@ class WeightedValues:
         total = _weight_sum(w)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1, got {total!r}")
-        setattr_ = object.__setattr__
-        setattr_(self, "value_core", v)
-        setattr_(self, "weight_core", w)
-        setattr_(self, "_values", None)
-        setattr_(self, "_weights", None)
+        object.__setattr__(self, "value_core", v)
+        object.__setattr__(self, "weight_core", w)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -135,15 +133,11 @@ class WeightedValues:
 
     @property
     def values(self) -> np.ndarray:
-        if self._values is None:
-            object.__setattr__(self, "_values", _frozen(self.value_core))
-        return self._values
+        return _frozen(self.value_core)
 
     @property
     def weights(self) -> np.ndarray:
-        if self._weights is None:
-            object.__setattr__(self, "_weights", _frozen(self.weight_core))
-        return self._weights
+        return _frozen(self.weight_core)
 
     # -- basic geometry --------------------------------------------------
     @property
@@ -156,7 +150,12 @@ class WeightedValues:
 
     @property
     def mean(self) -> float:
-        return float(self.weights @ self.values)
+        try:
+            return math.fsum(map(operator.mul, self.value_core, self.weight_core))
+        except OverflowError:
+            # weights summing past 1 on values within 1e-12 of the end of the float
+            # range: the mean is past that end too, and reads as inf of its sign
+            return 2.0 * math.fsum(0.5 * v * w for v, w in zip(self.value_core, self.weight_core))
 
     @property
     def atoms(self) -> list[tuple[float, float]]:
@@ -190,27 +189,32 @@ def canonicalize(pairs) -> WeightedValues:
     renormalizes the total mass to 1, and keeps zero-weight atoms.
     Rejects a negative weight (a merge could hide it); :class:`WeightedValues` checks the rest.
     """
-    pairs = list(pairs)
-    if len(pairs) == 0:
+    merged = {}
+    for v, w in pairs:
+        try:
+            v, w = float(v), float(w)
+        except TypeError:  # None, or a sequence
+            raise ValueError(f"values and weights must be numbers, got {v!r} and {w!r}") from None
+        if w < 0.0:
+            raise ValueError("weights must be nonnegative")
+        # equal values keep the first in input order (0.0 or -0.0) and add their weights in it
+        merged[v] = merged.get(v, 0.0) + w
+    if not merged:
         raise ValueError("empty atom list")
-    values, weights = np.asarray(pairs, dtype=float).T
-    if (weights < 0).any():
-        raise ValueError("weights must be nonnegative")
-    # equal values keep the first in input order (0.0 or -0.0) and add their weights in it
-    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    values, weights = values[first], np.bincount(inverse, weights=weights)
-    with np.errstate(over="ignore"):
-        total = float(weights.sum())
-    if total == math.inf and np.isfinite(weights).all():
+    values = sorted(merged)
+    weights = [merged[v] for v in values]
+    total = _weight_sum(weights)
+    if total == math.inf and all(map(math.isfinite, weights)):
         # finite weights whose sum passes the float range: scale them first
-        weights = weights / weights.max()
-        total = float(weights.sum())
+        top = max(weights)
+        weights = [w / top for w in weights]
+        total = _weight_sum(weights)
     if not 0.0 < total < math.inf:
         raise ValueError(f"total weight must be a positive finite number, got {total!r}")
     # renormalize only when needed so a canonical echo is bit-exact, by the
     # weight-sum rule of WeightedValues, so that what is kept is accepted
-    if abs(_weight_sum(weights.tolist()) - 1.0) > WEIGHT_SUM_TOL:
-        weights = weights / total
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        weights = [w / total for w in weights]
     return WeightedValues(values, weights)
 
 

@@ -64,9 +64,10 @@ def sample_exact(dp: DPSpec, rng: np.random.Generator) -> DPSample:
     Weights over the positive atoms are Dirichlet(alpha * p_1, ...,
     alpha * p_k); zero-weight (ambient) atoms receive weight 0.
     """
-    w = np.zeros_like(dp.base.weights)
-    w[dp.base.weights > 0] = _weights(dp, rng)[1]
-    return DPSample(dp.base.values.copy(), w)
+    p = dp.base.weight_core
+    w = np.zeros(len(p))
+    w[[x > 0.0 for x in p]] = _weights(dp, rng)[1]
+    return DPSample(np.array(dp.base.value_core), w)
 
 
 def sample_payoff_means(dp: DPSpec, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .cgf import _atoms, _gamma_log_mgf, _scaled_conjugate, cgf_bound
+from .cgf import _atoms, _scaled_conjugate, cgf_bound
 from .kinf import kinf, tail_bound_single
 from .measures import DPSpec, WeightedValues, _check_values, canonicalize, kl_discrete
 from .sampler import (
@@ -83,6 +83,17 @@ def _top_gap(dp: DPSpec, u: float) -> float:
     if not u < dp.base.v_max:
         raise ValueError("u must be below v_max")
     return dp.base.v_max - u
+
+
+def _gamma_log_mgf(alpha: float, v_max: float, positive: list[tuple[float, float]]) -> float:
+    """Log-MGF of the Gamma process with shape alpha * base at a payoff with top
+    value ``v_max`` and (v, p) ``positive`` atoms: -alpha * E_base[log(1 - v)].
+    Requires every payoff value <= 1 and no base mass at the value 1 exactly."""
+    if v_max > 1.0:
+        raise ValueError("all payoff values must be <= 1")
+    if positive and positive[-1][0] == 1.0:
+        raise ValueError("base mass at payoff value 1 is not allowed")
+    return -alpha * math.fsum(p * math.log1p(-v) for v, p in positive)
 
 
 def chernoff_minimum_gamma(dp: DPSpec, u: float) -> float:

@@ -122,8 +122,8 @@ def canonicalize_loop(pairs):
     """(values, weights) of canonical atoms by a stable sort and a merge loop.
 
     Adds the weights of equal values left to right in input order and
-    renormalizes when the total is off 1 by more than 1e-12, as
-    ``dpconc.measures.canonicalize`` must; valid input only.
+    renormalizes by their ``math.fsum`` when it is off 1 by more than 1e-12,
+    as ``dpconc.measures.canonicalize`` must; valid input only.
     """
     vals = np.asarray([p[0] for p in pairs], dtype=float)
     wts = np.asarray([p[1] for p in pairs], dtype=float)
@@ -137,8 +137,9 @@ def canonicalize_loop(pairs):
             keep_v.append(v)
             keep_w.append(w)
     w = np.asarray(keep_w, dtype=float)
-    if abs(float(w.sum()) - 1.0) > 1e-12:
-        w = w / w.sum()
+    total = math.fsum(keep_w)
+    if abs(total - 1.0) > 1e-12:
+        w = w / total
     return np.asarray(keep_v, dtype=float), w
 
 

@@ -124,6 +124,12 @@ class TestBanditInstance:
         with pytest.raises(ValueError, match="integers"):
             BanditInstance(4.5, 1.5, [0.9, 0.6, 0.5])  # 3 blocks of width 1.5
 
+    @pytest.mark.parametrize("size", [1e999, -1e999, math.nan, np.float64("nan"), None, "4"])
+    def test_non_numbers_as_sizes_are_value_errors(self, size):
+        for n, m in ((size, 2), (4, size)):
+            with pytest.raises(ValueError, match="^n and m must be integers"):
+                BanditInstance.from_dict({"n": n, "m": m, "block_means": [0.9, 0.6]})
+
 
 class TestCtsStep:
     def test_argmax_of_block_sums(self):

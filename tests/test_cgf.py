@@ -14,12 +14,11 @@ from dpconc.cgf import (
     beta_cgf_bound,
     cgf_bound,
     cgf_bound_scaled,
-    gamma_log_mgf,
 )
 from dpconc.kinf import kinf, kinf_inverse, tail_bound_single
 from dpconc.measures import DPSpec, WeightedValues, canonicalize, kl_bernoulli, kl_discrete
 from dpconc.sums import SumSpec, region_radius, sum_tail
-from dpconc.verify import chernoff_minimum_gamma, min_scaled_conjugate, random_measure
+from dpconc.verify import _gamma_log_mgf, chernoff_minimum_gamma, min_scaled_conjugate, random_measure
 
 BER_HALF = canonicalize([(0.0, 0.5), (1.0, 0.5)])
 
@@ -295,6 +294,12 @@ class TestCgfBoundScaled:
     def test_infinite_lambda_rejected(self):
         with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
             cgf_bound_scaled(DPSpec(2.0, BER_HALF), math.inf, 0.5)
+
+
+def gamma_log_mgf(dp):
+    """The Gamma-process log-MGF at the payoff of ``dp``'s base."""
+    base = dp.base
+    return _gamma_log_mgf(dp.alpha, base.v_max, [a for a in base.atoms if a[1] > 0.0])
 
 
 class TestGammaLogMgf:

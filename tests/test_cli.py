@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dpconc.cli import DEFAULT_SEED, main
@@ -247,6 +248,43 @@ def test_parser_is_built_on_the_first_call_then_reused(capsys, measure_file):
     assert run_cli(capsys, "kinf", measure_file, "-u", "0.75") != first
     assert run_cli(capsys, "--precision", "kinf", measure_file, "-u", "0.75") == first
     assert _build_parser.cache_info().currsize == 1
+
+
+class _NoNumpy:
+    """numpy for ``dpconc.measures`` with the array type alone, which ``_floats`` checks for."""
+
+    ndarray = np.ndarray
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} called")
+
+
+# repeated values, signed zeros, a zero weight, a total of 7.5
+UNEVEN = {"atoms": [{"value": 1.0, "weight": 3.0}, {"value": 0.0, "weight": 1.0},
+                    {"value": 1.0, "weight": 2.0}, {"value": 0.5, "weight": 0.0},
+                    {"value": -0.0, "weight": 1.5}, {"value": 0.25, "weight": 0.0}]}
+SPEC_UNEVEN = {"components": [{"alpha": 3.0, "base": UNEVEN}, {"alpha": 0.5, "base": BER},
+                              {"alpha": 7.0, "base": UNEVEN}]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("kinf", "MEASURE", "-u", "0.8"),
+    ("bound", "MEASURE", "--alpha", "2"),
+    ("tail", "MEASURE", "--alpha", "2", "-u", "0.8"),
+    ("region", "SPEC", "--delta", "0.05"),
+    ("sumtail", "SPEC", "-u", "2.2"),
+])
+def test_bound_commands_make_no_numpy_call(capsys, monkeypatch, tmp_path, argv):
+    import dpconc.measures
+
+    files = {"MEASURE": tmp_path / "measure.json", "SPEC": tmp_path / "spec.json"}
+    files["MEASURE"].write_text(json.dumps(UNEVEN))
+    files["SPEC"].write_text(json.dumps(SPEC_UNEVEN))
+    argv = ["--precision"] + [str(files.get(a, a)) for a in argv]
+    want = run_cli(capsys, *argv)
+    monkeypatch.setattr(dpconc.measures, "np", _NoNumpy())
+    assert run_cli(capsys, *argv) == want
+    assert want[0] == 0
 
 
 class TestVerifyCommand:

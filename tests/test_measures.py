@@ -2,8 +2,10 @@ import json
 import math
 import pickle
 import re
+import sys
 import warnings
 from copy import deepcopy
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,6 +86,11 @@ class TestCanonicalize:
         # the negative weight sits on a repeated value, so the merge would absorb it
         with pytest.raises(ValueError):
             canonicalize([(0.0, -0.5), (0.0, 1.0), (1.0, 0.5)])
+
+    @pytest.mark.parametrize("pair", [(None, 1.0), (0.0, None), ([0.0], 1.0)])
+    def test_non_number_is_a_value_error(self, pair):
+        with pytest.raises(ValueError, match="^values and weights must be numbers, got "):
+            canonicalize([(1.0, 0.5), pair])
 
     @pytest.mark.parametrize("weight", [math.inf, math.nan])
     def test_non_finite_weight_raises_without_warning(self, weight):
@@ -295,14 +302,13 @@ class TestWeightedValuesValidation:
         assert m.values.dtype == m.weights.dtype == np.float64
         assert m.values.tolist() == list(m.value_core) == [0.0, 0.5, 2.0]
         assert m.weights.tolist() == list(m.weight_core) == [0.25, 0.25, 0.5]
-        assert m.values is m.values and m.weights is m.weights
+        assert WeightedValues.__slots__ == ("value_core", "weight_core")  # no array cache
 
     def test_positive_part_is_read_off_the_core(self):
         m = canonicalize([(0.0, 0.0), (0.5, 0.25), (1.0, 0.0), (2.0, 0.75)])
         v, w = m.positive()
         assert v.tolist() == [0.5, 2.0] and w.tolist() == [0.25, 0.75]
         assert v.dtype == w.dtype == np.float64 and v.flags.writeable
-        assert m._values is None and m._weights is None  # the lazy arrays stay unbuilt
 
     def test_immutable_and_picklable(self):
         m = canonicalize([(0.0, 0.25), (2.0, 0.75)])
@@ -318,6 +324,25 @@ class TestWeightedValuesValidation:
         assert m.v_min == 0.0
         assert m.v_max == 2.0
         assert m.mean == pytest.approx(0.125 + 1.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_mean_past_the_float_range_is_inf(self, sign):
+        top = sys.float_info.max
+        m = WeightedValues(sorted([sign * top, sign * math.nextafter(top, 0.0)]),
+                           [0.5, 0.5 + 9e-13] if sign > 0 else [0.5 + 9e-13, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert m.mean == sign * math.inf
+
+    def test_mean_is_the_correctly_rounded_sum_of_the_products(self):
+        # the same bits on every CPU: no vector path picks the order of the sum
+        rng = np.random.default_rng(26)
+        for _ in range(500):
+            n = int(rng.integers(1, 21))
+            values = np.sort(rng.normal(size=n) * 10.0 ** rng.uniform(-5.0, 5.0)).tolist()
+            m = canonicalize(zip(values, rng.dirichlet(np.ones(n)).tolist()))
+            exact = sum(Fraction(v * w) for v, w in m.atoms)
+            assert m.mean == float(exact)
 
 
 class TestKlDiscrete:

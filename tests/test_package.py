@@ -51,7 +51,7 @@ def test_kernel_modules_import_no_numpy():
 
 
 def test_kernel_modules_read_measures_by_their_float_core():
-    # the arrays of a measure are built on first access: the kernel never asks for them
+    # a measure's arrays are copies made on each access: the kernel reads its float core
     for mod in ("cgf", "sums", "kinf"):
         tree = ast.parse(inspect.getsource(_module(mod)))
         reads = sorted({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
