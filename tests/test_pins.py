@@ -70,20 +70,31 @@ one draw in eleven takes more than one chunk of sticks).  Each case draws
 from the family's generator and hashes its next two uniforms too, so that a
 sampler must also leave the stream where it was.
 
+The CLI pins hold the stdout of ``bound``, ``kinf``, ``tail``, ``region``
+and ``sumtail`` at their default 9 significant digits, with the exit code,
+on 50 inputs each from the same generators, written to JSON files.  They
+were recorded before the outer roots came to end on their last solve, so
+that "the 9-digit CLI output is byte-identical" is checked, not claimed.
+
 The canonicalize family pins the measures built from raw pairs: 1-20 pairs
 in no order, with repeated values, signed zeros and zero weights, totalling
 about 1 (some within 2e-12 of it), 1e-300 to 1e300, or past the float range.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import math
 import struct
+import tempfile
 
 import numpy as np
 import pytest
 
 from oracles import qk_enumerate
 from dpconc.cgf import cgf_bound, cgf_bound_scaled
+from dpconc.cli import main
 from dpconc.kinf import kinf, kinf_inverse, tail_bound_single
 from dpconc.measures import DPSpec, canonicalize
 from dpconc.sampler import (
@@ -320,6 +331,83 @@ def test_outputs_are_pinned(name):
     assert digest(name) == FAMILIES[name][1]
 
 
+def _write(folder, name, data) -> str:
+    path = f"{folder}/{name}.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    return path
+
+
+def _spec_data(spec):
+    return {"components": [{"alpha": c.alpha, "base": c.base.to_dict()}
+                           for c in spec.components]}
+
+
+def _cli_bound(rng, folder):
+    dp = _dp(rng)
+    return ["bound", _write(folder, "base", dp.base.to_dict()), f"--alpha={dp.alpha!r}"]
+
+
+def _cli_kinf(rng, folder):
+    base = _base(rng)
+    u = _level(rng, base.mean, base.v_max)
+    return ["kinf", _write(folder, "base", base.to_dict()), f"-u={u!r}"]
+
+
+def _cli_tail(rng, folder):
+    dp = _dp(rng)
+    u = _level(rng, dp.base.mean, dp.base.v_max)
+    return ["tail", _write(folder, "base", dp.base.to_dict()), f"--alpha={dp.alpha!r}", f"-u={u!r}"]
+
+
+def _cli_region(rng, folder):
+    spec = _spec(rng)
+    delta = math.exp(-rng.uniform(0.01, 15.0))
+    return ["region", _write(folder, "spec", _spec_data(spec)), f"--delta={delta!r}"]
+
+
+def _cli_sumtail(rng, folder):
+    spec = _spec(rng)
+    lo = math.fsum(c.base.mean for c in spec.components)
+    hi = math.fsum(c.base.v_max for c in spec.components)
+    return ["sumtail", _write(folder, "spec", _spec_data(spec)), f"-u={_level(rng, lo, hi)!r}"]
+
+
+# the stdout of the bound commands at their default 9 significant digits, on
+# CLI_CASES seeded inputs each; an argv is hashed with its exit code and output
+CLI = {
+    "bound": (_cli_bound,
+        "5445d201b869c852d51961d900e45f65a2efdfc52d7fdb9b656cbe9ad7e17645"),
+    "kinf": (_cli_kinf,
+        "b7de361e8c19ebb37bc5464cbfd75af6f331d060db48ad1216cc8f4a6f081b69"),
+    "tail": (_cli_tail,
+        "74a4c7bdeab98519fc556c3cd6e54950d0b00c35cbb674a206f059f62746c061"),
+    "region": (_cli_region,
+        "ea656e014f851033c51215baa6733d27b04a4f8490d5955a703fb4bd77d257c5"),
+    "sumtail": (_cli_sumtail,
+        "f245e9211de5626631fb9252fd17e3c64127d5722873a793dc0df9a7c0a08fb4"),
+}
+CLI_CASES = 50
+
+
+def cli_digest(command: str) -> str:
+    case, _ = CLI[command]
+    rng = np.random.default_rng(100 + list(CLI).index(command))
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as folder:
+        for _ in range(CLI_CASES):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(case(rng, folder))
+            h.update(f"{code}\n{out.getvalue()}".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("command", CLI)
+def test_cli_output_is_pinned(command):
+    assert cli_digest(command) == CLI[command][1]
+
+
 def test_split_moment_matches_enumeration():
     rng = np.random.default_rng(20)
     for k in range(1, 13):
@@ -392,3 +480,6 @@ if __name__ == "__main__":
     for name, (_, pinned) in FAMILIES.items():
         now = digest(name)
         print(f"{name:24} {now} {'pinned' if now == pinned else 'MOVED'}")
+    for command, (_, pinned) in CLI.items():
+        now = cli_digest(command)
+        print(f"cli {command:20} {now} {'pinned' if now == pinned else 'MOVED'}")
