@@ -21,7 +21,8 @@ The secular equation is solved for the scale-free ratio r = (c - v_max) / alpha
 in [top mass, 1] (see ``_conjugate``).  Where one atom below the top carries
 mass (every two-atom base, with any ambient atoms) it is a quadratic in r,
 solved in closed form by ``_quadratic_root``; otherwise it is solved by
-``_root``, a safeguarded Newton root finder.  The sum regions and tails of
+``_root``, a safeguarded Newton root finder that bisects in log r where the
+bracket spans decades.  The sum regions and tails of
 ``dpconc.sums``, the half-space projection ``kinf``, its inverse
 ``kinf_inverse`` (the KL-UCB index) and the single-process Chernoff tail
 ``tail_bound_single`` are outer roots of ``_root`` over this kernel.
@@ -65,8 +66,10 @@ def _root(f, lo: float, hi: float, x: float, atol: float = 0.0) -> float:
     from ``x``; every evaluation shrinks the bracket, and bisection
     replaces a step that would leave it, that has no positive finite slope
     to follow, or that is not under half the step before last (which breaks
-    Newton cycles).  Stops once a step, or the bracket, is at most
-    _RTOL * |x| + atol.
+    Newton cycles).  The bisection is in log x while 0 < 4 lo < hi, at
+    sqrt(lo) sqrt(hi), and halves the bracket after.  Stops once a step, or
+    the bracket, is at most _RTOL * |x| + atol, so the last point at which
+    ``f`` was evaluated is within that of the returned root.
     """
     last = older = math.inf
     for _ in range(_MAX_ITER):
@@ -88,6 +91,12 @@ def _root(f, lo: float, hi: float, x: float, atol: float = 0.0) -> float:
             step = math.inf
         if lo <= x - step <= hi and 2.0 * abs(step) <= older:
             x -= step
+        elif 0.0 < 4.0 * lo < hi:
+            # a bracket above 0 that spans more than a factor of 4 is bisected
+            # in log x, so that a root near its lower end is reached in
+            # O(log log(hi / lo)) steps rather than O(log(hi / lo))
+            x = math.sqrt(lo) * math.sqrt(hi)
+            step = x - lo
         else:
             step = 0.5 * (hi - lo)
             x = lo + step
@@ -130,8 +139,9 @@ def _conjugate(top: float, terms, ell: float, r: float = 1.0):
     at its largest root in [top, 1]; r = 0 on the boundary branch (no top
     mass and sum_i p_i u_i <= 1).  With one term the root is that of a
     quadratic, from :func:`_quadratic_root`; with more, :func:`_root` finds
-    it from the start ``r``.  Working in r rather than c keeps c - v_max
-    from underflowing at tiny kappa.
+    it from the start ``r``, or from 1, the root's limit at large kappa,
+    where ``r`` is outside (top, 1].  Working in r rather than c keeps
+    c - v_max from underflowing at tiny kappa.
 
     Returns r, the witness weights q_i = p_i u_i / (1 + r u_i) below the
     top, the mean gap (v_max - E_q[v]) / kappa = 1 - r, KL(base || q) and
@@ -218,7 +228,8 @@ def cgf_bound(dp: DPSpec) -> CgfBoundResult:
 def _witness(base: WeightedValues, r: float, q_below) -> tuple[WeightedValues, float]:
     """Witness measure on the atoms of ``base`` from a :func:`_conjugate`
     solution, filled in a list and normalized by its ``math.fsum``, and the
-    boundary mass it puts on an ambient top."""
+    boundary mass it puts on an ambient top.  It is built on the base's
+    checked values, so only its weights are checked."""
     *below, top = base.weight_core
     solved = iter(q_below)
     q = [next(solved) if w > 0.0 else 0.0 for w in below]
@@ -226,7 +237,7 @@ def _witness(base: WeightedValues, r: float, q_below) -> tuple[WeightedValues, f
     boundary_mass = 0.0 if r > 0.0 else max(1.0 - math.fsum(q), 0.0)
     q.append(top / r if r > 0.0 else boundary_mass)
     total = math.fsum(q)
-    return WeightedValues(base.value_core, [x / total for x in q]), boundary_mass
+    return base._reweighted([x / total for x in q]), boundary_mass
 
 
 def cgf_bound_scaled(dp: DPSpec, lam: float, u: float) -> float:

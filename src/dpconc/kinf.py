@@ -35,7 +35,9 @@ class KinfResult:
     """Solution of the half-space projection.
 
     ``value`` is the divergence, ``lambda_star`` the optimal dual
-    multiplier in [0, 1/(v_max - u)], ``at_boundary`` whether the right
+    multiplier in [0, 1/(v_max - u)] (the tail root's last evaluation,
+    within the root's tolerance of the optimum in log lam, and from the same
+    solve as the value and the diagnostic), ``at_boundary`` whether the right
     endpoint was attained, and ``diagnostic`` the self-consistency
     statistic E_nu[1 / (1 - lambda_star (v - u))], which is <= 1 always
     and = 1 at interior optima.  It is the mass of the tail's witness

@@ -63,6 +63,16 @@ def _weight_sum(w) -> float:
         return math.inf
 
 
+def _check_weights(w) -> None:
+    """Raise unless the weights ``w``, a sequence of floats, are finite and
+    nonnegative and their ``math.fsum`` is within ``WEIGHT_SUM_TOL`` of 1."""
+    if not (all(map(math.isfinite, w)) and min(w) >= 0.0):
+        raise ValueError("weights must be finite and nonnegative")
+    total = _weight_sum(w)
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"weights must sum to 1, got {total!r}")
+
+
 _SHAPE = "values and weights must be 1-D arrays of equal length"
 
 
@@ -111,13 +121,20 @@ class WeightedValues:
         if not v:
             raise ValueError("at least one atom is required")
         _check_values(v)
-        if not (all(map(math.isfinite, w)) and min(w) >= 0.0):
-            raise ValueError("weights must be finite and nonnegative")
-        total = _weight_sum(w)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1, got {total!r}")
+        _check_weights(w)
         object.__setattr__(self, "value_core", v)
         object.__setattr__(self, "weight_core", w)
+
+    def _reweighted(self, weights: list[float]) -> "WeightedValues":
+        """The measure on this one's values with ``weights``, a list of Python
+        floats of the same length.  Only the weights are checked: the values
+        are this measure's core, checked already."""
+        w = tuple(weights)
+        _check_weights(w)
+        out = object.__new__(WeightedValues)
+        object.__setattr__(out, "value_core", self.value_core)
+        object.__setattr__(out, "weight_core", w)
+        return out
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

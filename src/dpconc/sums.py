@@ -84,6 +84,10 @@ class _Outer:
     :func:`dpconc.cgf._atoms` reads it.  Components whose base puts all
     its mass on its top value are degenerate: their conjugate is v_max at
     every concentration, so they only add v_max and sit out of the root.
+    Each evaluation of the root solves every live component once; ``sols``
+    holds each component's last solution, and ``shift`` and ``last`` the
+    shift and the output of the last :meth:`solve`, which the root's
+    results are read from.
     """
 
     def __init__(self, comps):
@@ -91,20 +95,27 @@ class _Outer:
         self.live = [j for j, (_, view) in enumerate(comps) if view.terms]
         self.logs = [math.log(alpha) for alpha, _ in comps]
         self.sols = [None] * len(comps)
+        self.shift = 0.0
+        self.last = []
 
     def solve(self, shift: float) -> list[tuple[float, float, tuple]]:
         """(alpha_j, kappa_j, conjugate solution) of each live component.
 
         Component j is solved at concentration kappa_j = alpha_j * exp(shift),
-        starting from its previous solution.
+        starting from the tangent of its previous solution, whose r moves
+        with ell by dr/dell = dkl + gap.  The shift and the output are kept
+        as ``shift`` and ``last``, so that a root can end on its last solve.
         """
         out = []
+        step = shift - self.shift
         for j in self.live:
             alpha, view = self.comps[j]
             ell = self.logs[j] + shift
             prev = self.sols[j]
-            self.sols[j] = sol = _conjugate(view.top, view.terms, ell, prev[0] if prev else 1.0)
+            start = prev[0] + (prev[4] + prev[2]) * step if prev else 1.0
+            self.sols[j] = sol = _conjugate(view.top, view.terms, ell, start)
             out.append((alpha, math.exp(ell), sol))
+        self.shift, self.last = shift, out
         return out
 
 
@@ -115,7 +126,9 @@ def _region(comps, budget: float) -> tuple[float, float, _Outer]:
     means, and inf (or no live component) the sum of the maxima.  Otherwise
     the root is taken in tau = log lam on log(budget / spent), which is near
     linear both where lam is small (spent ~ -tau) and where it is large
-    (spent ~ exp(-2 tau)).
+    (spent ~ exp(-2 tau)).  It ends on its last solve: the multiplier, the
+    radius and the solved components are those at the last tau evaluated,
+    within the root's tolerance of the root, where the radius is stationary.
     """
     if not budget >= 0.0:
         raise ValueError("budget must be nonnegative")
@@ -168,10 +181,10 @@ def _region(comps, budget: float) -> tuple[float, float, _Outer]:
     # reach / budget can round to 0 on a narrow range: take the logs apart
     ratio = reach / budget
     hi = math.log(ratio) if ratio > 0.0 else math.log(reach) - math.log(budget)
-    tau = _root(h, lo, max(hi, lo), lo, atol=_TAU_TOL)
-    lam = math.exp(tau)
+    _root(h, lo, max(hi, lo), lo, atol=_TAU_TOL)
+    lam = math.exp(outer.shift)
     radius = lam * budget + tops
-    for _, kappa, (_, _, gap, kl, _) in outer.solve(tau):
+    for _, kappa, (_, _, gap, kl, _) in outer.last:
         radius -= kappa * (gap + kl)
     return radius, lam, outer
 
@@ -218,7 +231,9 @@ def _tail(comps, u: float) -> tuple[float, list[float] | None, float, _Outer]:
     alpha_j / lam.  The root is taken in tau = log lam on
     log((tops - u) / deficit), where tops is the sum of maxima and the
     deficit sum_j (v_max_j - E_{q_j}[v_j]) falls like exp(-tau) for
-    large lam.
+    large lam.  It ends on its last solve: the exponent, the split and the
+    multiplier are those at the last tau evaluated, within the root's
+    tolerance of the root, where the exponent is stationary.
     """
     if math.isnan(u):
         raise ValueError("u must not be NaN")
@@ -250,7 +265,8 @@ def _tail(comps, u: float) -> tuple[float, list[float] | None, float, _Outer]:
     below = _logsumexp([ell + math.log(sum(p for p, _ in v.terms)) for ell, v in live])
     lo = math.log(u - bottom) + math.log(2.0) - spread
     hi = max(below - math.log(tops - u), lo)
-    tau = _root(excess, lo, hi, hi, atol=_TAU_TOL)
+    _root(excess, lo, hi, hi, atol=_TAU_TOL)
+    tau = -outer.shift
     # the exponent lam (u - tops) + sum_j alpha_j (gap_j + kl_j), with lam
     # (tops - u) formed in logs, since lam can pass the float range.  So can
     # both terms where the exponent does not: they are taken per unit 2^-k, k
@@ -259,7 +275,7 @@ def _tail(comps, u: float) -> tuple[float, list[float] | None, float, _Outer]:
     unit = 2.0 ** -max(0, math.ceil((log_gap - 700.0) / math.log(2.0)))
     exponent = -math.exp(log_gap + math.log(unit))
     split = maxima
-    for j, (alpha, kappa, (_, _, gap, kl, _)) in zip(outer.live, outer.solve(-tau)):
+    for j, (alpha, kappa, (_, _, gap, kl, _)) in zip(outer.live, outer.last):
         exponent += alpha * unit * (gap + kl)
         split[j] -= kappa * gap
     return max(exponent / unit, 0.0), split, tau, outer

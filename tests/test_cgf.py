@@ -128,6 +128,37 @@ class TestTinyTopMass:
         assert got == pytest.approx(0.5, rel=1e-14)
 
 
+@pytest.mark.parametrize("t", [5e-101, 5e-160, 5e-300, 5e-324])
+class TestTinyTopMassManyAtoms:
+    """On the base {0: 1/2, 1/2: 1/2, 1: t} the secular equation has two terms
+    and no closed form: its root r ~ t is reached by bisecting [t, 1] in
+    log r.  Every query is its limit as t -> 0, the base with an ambient top."""
+
+    LIMIT = canonicalize([(0.0, 0.5), (0.5, 0.5), (1.0, 0.0)])
+
+    @staticmethod
+    def base(t):
+        return canonicalize([(0.0, 0.5), (0.5, 0.5), (1.0, t)])
+
+    def test_cgf_bound(self, t):
+        # a 300-digit mpmath reference
+        got = cgf_bound(DPSpec(1e-3, self.base(t))).value
+        assert got == pytest.approx(0.9924388183112978, rel=1e-14)
+
+    def test_kinf_inverse(self, t):
+        # a 300-digit mpmath reference
+        assert kinf_inverse(self.base(t), 0.5) == pytest.approx(0.5711180575196466, rel=1e-14)
+
+    def test_kinf(self, t):
+        assert kinf(self.base(t), 0.6).value == pytest.approx(kinf(self.LIMIT, 0.6).value, rel=1e-14)
+
+    def test_region_radius(self, t):
+        def radius(base):
+            return region_radius(SumSpec([DPSpec(1.0, base), DPSpec(2.0, base)]), 0.1).radius
+
+        assert radius(self.base(t)) == pytest.approx(radius(self.LIMIT), rel=1e-14)
+
+
 class TestCgfBound:
     def test_single_atom(self):
         res = cgf_bound(DPSpec(3.0, canonicalize([(0.7, 1.0)])))

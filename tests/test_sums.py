@@ -412,3 +412,49 @@ def test_huge_concentration_sum_region(k, alpha, delta):
     # concentrations the budget moves no witness mean by a float
     radius = region_radius(SumSpec([DPSpec(alpha, BER_HALF)] * k), delta).radius
     assert radius == pytest.approx(0.5 * k, rel=1e-12)
+
+
+SOLVE_SPEC = SumSpec([
+    DPSpec(2.0, canonicalize([(0.0, 0.2), (0.3, 0.5), (1.0, 0.3)])),
+    DPSpec(0.5, canonicalize([(-1.0, 0.4), (0.5, 0.0), (2.0, 0.6), (3.0, 0.0)])),
+    DPSpec(3.0, canonicalize([(1.5, 1.0)])),  # a point mass sits out of the root
+])
+SOLVE_BASE = canonicalize([(0.0, 0.25), (0.4, 0.25), (0.7, 0.3), (1.0, 0.2)])
+
+
+class TestOneSolvePerStep:
+    """The outer roots solve each live component once per evaluation and read
+    their results off the last one, with no solve after the root."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import dpconc.sums as sums_module
+
+        calls = {"solves": 0, "evaluations": 0}
+        conjugate, root = sums_module._conjugate, sums_module._root
+
+        def counted_conjugate(*args):
+            calls["solves"] += 1
+            return conjugate(*args)
+
+        def counted_root(f, *args, **kwargs):
+            def counted(x):
+                calls["evaluations"] += 1
+                return f(x)
+
+            return root(counted, *args, **kwargs)
+
+        monkeypatch.setattr(sums_module, "_conjugate", counted_conjugate)
+        monkeypatch.setattr(sums_module, "_root", counted_root)
+        return calls
+
+    @pytest.mark.parametrize("query, live", [
+        (lambda: region_radius(SOLVE_SPEC, 0.05), 2),
+        (lambda: sum_tail(SOLVE_SPEC, 3.5), 2),
+        (lambda: kinf(SOLVE_BASE, 0.8), 1),
+        (lambda: kinf_inverse(SOLVE_BASE, 0.3), 1),
+    ], ids=["region_radius", "sum_tail", "kinf", "kinf_inverse"])
+    def test_solves_equal_live_components_times_evaluations(self, calls, query, live):
+        query()
+        assert calls["evaluations"] > 0
+        assert calls["solves"] == live * calls["evaluations"]
