@@ -346,9 +346,16 @@ class TestRunExperiment:
             assert set(traces[0].actions.tolist()) == {0, 1}
 
 
-# sha256 of the trace CSV of 2 reps per run, as written by the array-based
-# round loop this package had before its rounds moved to Python scalars
-PINNED_INSTANCES = {"paper": (4, 2, (0.9, 0.6)), "wide": (16, 8, (0.9, 0.85))}
+# sha256 of the trace CSV of 2 reps per run.  The paper and wide pins were
+# written by the array-based round loop this package had before its rounds
+# moved to Python scalars; the single (m = 1) and triple (an odd m) pins by
+# the loop of one scalar rng.random() per outcome
+PINNED_INSTANCES = {
+    "paper": (4, 2, (0.9, 0.6)),
+    "wide": (16, 8, (0.9, 0.85)),
+    "single": (3, 1, (0.9, 0.6, 0.3)),
+    "triple": (6, 3, (0.9, 0.6)),
+}
 PINNED_HORIZONS = {"cts": 2000, "cucb": 200, "escb": 200, "oracle": 200, "worst": 200}
 PINNED_TRACES = {
     ("paper", "cts", 0): "df78a60b317361c5508dc8e844571b24d9efabae53c3e2c27839d6597c31fec1",
@@ -381,6 +388,36 @@ PINNED_TRACES = {
     ("wide", "worst", 0): "a4181091f51ef2a7863e6a5f4b1a64ea4aa4d157cefc60823c30758cd2f47cca",
     ("wide", "worst", 1): "a4181091f51ef2a7863e6a5f4b1a64ea4aa4d157cefc60823c30758cd2f47cca",
     ("wide", "worst", 7): "a4181091f51ef2a7863e6a5f4b1a64ea4aa4d157cefc60823c30758cd2f47cca",
+    ("single", "cts", 0): "2cd474539f59bb4878674d7daee11fa23dcb131b482c711a2fc4328fd53d53d2",
+    ("single", "cts", 1): "b2cfc0cc1c337c7b67bf36782bad7dde5dcf9846fdaf0cbede1a372d37a478ea",
+    ("single", "cts", 7): "f5eb6cc622e5aa7bb1828b3b66be915584eca98011d34ab329f628923aeb7185",
+    ("single", "cucb", 0): "4247081666e196821b2b0d521d443b5f3e35c1cc9e072b0e3f43c1887f80a9c5",
+    ("single", "cucb", 1): "5dfab3630c9749d850032c381aa13d695454cbf776cdea75fece81058b8279c3",
+    ("single", "cucb", 7): "6bf1cea67e2c11bdb8e6a8281df3db109ff1e088156e7d8614d36b31c72c13fd",
+    ("single", "escb", 0): "708fa950757ab79eb9d3043db5e73af873f80389cef9de5242ea580c3ea62f93",
+    ("single", "escb", 1): "721c37960e8a13889139a826ce5646239ca91bb0a0321f76bff7abc4332291bd",
+    ("single", "escb", 7): "2a1da3cad1bdb1927772c638b0d863c861c227e2d95e3ea0e30381d757a1f97a",
+    ("single", "oracle", 0): "7f19dd0d4cdd77f06555c4c0670943366d3cc9c76817eca98dd0b1f21c527a9d",
+    ("single", "oracle", 1): "7f19dd0d4cdd77f06555c4c0670943366d3cc9c76817eca98dd0b1f21c527a9d",
+    ("single", "oracle", 7): "7f19dd0d4cdd77f06555c4c0670943366d3cc9c76817eca98dd0b1f21c527a9d",
+    ("single", "worst", 0): "201163ae94dec3ec81b8bbbbfd7fcb6b72451bf8ef5ad251c75169b063f1ef0b",
+    ("single", "worst", 1): "201163ae94dec3ec81b8bbbbfd7fcb6b72451bf8ef5ad251c75169b063f1ef0b",
+    ("single", "worst", 7): "201163ae94dec3ec81b8bbbbfd7fcb6b72451bf8ef5ad251c75169b063f1ef0b",
+    ("triple", "cts", 0): "4ab1f943a7de4099fb72afdb804873ced61f7c462422c02561b26691a1e5b510",
+    ("triple", "cts", 1): "dd60e8931d82f9bb201e86eba408d71af99978b824a6dbd05440ffdcd56f9a50",
+    ("triple", "cts", 7): "bd61b197cc712896552a11a21c27bc77d7f553e2e43ecffb8b9402b4adb57410",
+    ("triple", "cucb", 0): "60432306ed175f9c2404dfe5ee1c4baf0623f2d6dea86af8347239b946c93ac5",
+    ("triple", "cucb", 1): "68f6de2ac2a17eee8a9894b9fefbafb55a45f6477216b23ee8189fc2c56b592b",
+    ("triple", "cucb", 7): "4657696c8271fb3147d475ad1abaa1303775a6a4e75a70715bd4fd9d60e8611b",
+    ("triple", "escb", 0): "e99e219915d5ae934a8383d9c7858b901de0e41b09b6f86a27cdca8d87c66bfb",
+    ("triple", "escb", 1): "f562df26ba5f500e3befb29d309c6c00ebde34306cee417111c0e92f1f2e1668",
+    ("triple", "escb", 7): "940417b0ef5847104cdf93199149bd1341e8a0847badf9150103be33c524dd00",
+    ("triple", "oracle", 0): "7f19dd0d4cdd77f06555c4c0670943366d3cc9c76817eca98dd0b1f21c527a9d",
+    ("triple", "oracle", 1): "7f19dd0d4cdd77f06555c4c0670943366d3cc9c76817eca98dd0b1f21c527a9d",
+    ("triple", "oracle", 7): "7f19dd0d4cdd77f06555c4c0670943366d3cc9c76817eca98dd0b1f21c527a9d",
+    ("triple", "worst", 0): "62a72d517518f6021c958ee02f497cb1b8ede33002a255e50a27b39cf3738c69",
+    ("triple", "worst", 1): "62a72d517518f6021c958ee02f497cb1b8ede33002a255e50a27b39cf3738c69",
+    ("triple", "worst", 7): "62a72d517518f6021c958ee02f497cb1b8ede33002a255e50a27b39cf3738c69",
 }
 
 
