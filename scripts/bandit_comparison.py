@@ -23,9 +23,11 @@ def main() -> None:
     ap.add_argument("--T", type=int, default=2000)
     ap.add_argument("--reps", type=int, default=20)
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ap.add_argument("--policies", nargs="+", default=POLICIES)
+    ap.add_argument("--policies", nargs="+", choices=POLICIES, default=POLICIES)
     ap.add_argument("--out-dir", default=None)
     args = ap.parse_args()
+    if args.T < 1 or args.reps < 1:
+        ap.error("--T and --reps must be >= 1")
 
     instance = BanditInstance(4, 2, [0.9, 0.6])
     print(f"instance n={instance.n} m={instance.m} means={instance.block_means}")

@@ -122,7 +122,11 @@ class PolicyState:
     def update(self, arms, outcomes) -> None:
         """Count one observation of each of ``arms`` (a range or a sequence
         of distinct arms) with its 0/1 outcome, stored as a Python int: a
-        numpy bool added to an int entry would make it a numpy integer."""
+        numpy bool added to an int entry would make it a numpy integer.
+
+        The public way to step a state by hand; ``run_experiment`` counts
+        its rounds in place by the same rule, and the tests hold the two
+        to the same traces."""
         counts, successes = self.counts, self.successes
         for k, outcome in zip(arms, outcomes, strict=True):
             counts[k] += 1
@@ -249,7 +253,12 @@ def run_experiment(
     """Run ``reps`` independent simulations of ``policy`` for ``T`` rounds.
 
     Replications get independent generator streams spawned from the
-    seed; outcomes are drawn only for arms in the chosen block.
+    seed; outcomes are drawn only for arms in the chosen block j, by one
+    ``rng.random(m)`` per round, each a success when below p_j.  numpy fills
+    that array element by element from the same bit generator as m scalar
+    ``rng.random()`` calls, so the values, and the generator's state after
+    them, are the scalar draws'.  The round is counted into the state in
+    place, by the rule of ``PolicyState.update``.
     """
     T, reps = _integer(T, "T and reps"), _integer(reps, "T and reps")
     if T < 1 or reps < 1:
@@ -257,20 +266,24 @@ def run_experiment(
     if policy not in _STEPS:
         raise ValueError(f"unknown policy {policy!r}")
     step = _STEPS[policy]
-    m = instance.m
-    theta = instance.theta.tolist()
-    means = np.asarray(instance.block_means)
+    m, block_means = instance.m, instance.block_means
+    means = np.asarray(block_means)
     regret = m * (means[0] - means)
     traces = []
     for child in np.random.SeedSequence(seed).spawn(reps):
         rng = np.random.default_rng(child)
-        draw = rng.random  # one scalar draw per arm gives the values of rng.random(m)
+        draw = rng.random
         state = PolicyState.fresh(instance.n)
+        counts, successes = state.counts, state.successes
         actions = [0] * T
         for t in range(T):
             j = actions[t] = step(instance, state, rng)
-            arms = range(j * m, j * m + m)
-            state.update(arms, [draw() < theta[k] for k in arms])
+            p, k = block_means[j], j * m
+            for u in draw(m).tolist():
+                counts[k] += 1
+                successes[k] += u < p  # a bool added to an int stays an int
+                k += 1
+            state.t += 1
         actions = np.array(actions, dtype=np.int64)
         traces.append(RegretTrace(actions, np.cumsum(regret[actions])))
     return traces

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -430,6 +431,50 @@ def test_traces_are_pinned(name, policy, tmp_path):
         write_trace(path, run_experiment(instance, policy, PINNED_HORIZONS[policy], 2, seed))
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == PINNED_TRACES[name, policy, seed], (name, policy, seed)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 16])
+def test_array_draw_is_the_scalar_draws(m):
+    # run_experiment draws a round's outcomes by one rng.random(m); its
+    # traces equal those of m scalar draws only because of this
+    for seed in range(5):
+        array, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert array.random(m).tolist() == [scalar.random() for _ in range(m)]
+        assert array.bit_generator.state == scalar.bit_generator.state
+
+
+HAND_STEPS = {
+    "cts": cts_step,
+    "cucb": lambda inst, st, rng: cucb_kl_step(inst, st),
+    "escb": lambda inst, st, rng: escb_kl_step(inst, st),
+    "oracle": lambda inst, st, rng: 0,
+    "worst": lambda inst, st, rng: inst.block_means.index(min(inst.block_means)),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_INSTANCES)
+@pytest.mark.parametrize("policy", POLICIES)
+def test_run_experiment_is_the_hand_stepped_state(name, policy):
+    # the round loop counts its outcomes in place; stepping a state by hand
+    # through PolicyState.update, one scalar draw per arm, must agree
+    instance = BanditInstance(*PINNED_INSTANCES[name])
+    theta, p, m = instance.theta, instance.block_means, instance.m
+    T = 500 if policy == "cts" else 200
+    for seed in (0, 1, 7):
+        traces = run_experiment(instance, policy, T, 2, seed)
+        for trace, child in zip(traces, np.random.SeedSequence(seed).spawn(2), strict=True):
+            rng = np.random.default_rng(child)
+            state = PolicyState.fresh(instance.n)
+            actions = []
+            for _ in range(T):
+                j = HAND_STEPS[policy](instance, state, rng)
+                arms = instance.block_arms(j)
+                state.update(arms, [rng.random() < theta[k] for k in arms])
+                actions.append(j)
+            assert trace.actions.tolist() == actions, (name, policy, seed)
+            regret = itertools.accumulate(m * (p[0] - p[j]) for j in actions)
+            assert trace.cum_regret.tolist() == list(regret), (name, policy, seed)
 
 
 class TestLowerBoundConstant:

@@ -1,10 +1,13 @@
-"""Smoke tests: each experiment script runs to completion on a small input."""
+"""Smoke tests: each experiment script runs to completion on a small input,
+and refuses bad input with a usage error."""
 
 import csv
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import dpconc
 from dpconc.bandit import POLICIES
@@ -54,3 +57,12 @@ def test_bandit_comparison_trace_is_the_cli_trace(tmp_path):
     assert main(["--seed", "7", "bandit", str(instance), "--policy", "cucb", "-T", "60",
                  "--reps", "2", "--trace", str(trace)]) == 0
     assert (tmp_path / "trace_cucb.csv").read_bytes() == trace.read_bytes()
+
+
+@pytest.mark.parametrize("args", [["--policies", "greedy"], ["--T", "0"], ["--reps", "0"]])
+def test_bandit_comparison_rejects_bad_input(args):
+    proc = run_script("bandit_comparison.py", *args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
