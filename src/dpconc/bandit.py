@@ -123,10 +123,8 @@ class PolicyState:
         """Count one observation of each of ``arms`` (a range or a sequence
         of distinct arms) with its 0/1 outcome, stored as a Python int: a
         numpy bool added to an int entry would make it a numpy integer.
-
-        The public way to step a state by hand; ``run_experiment`` counts
-        its rounds in place by the same rule, and the tests hold the two
-        to the same traces."""
+        The public way to step a state by hand: ``run_experiment`` counts
+        in place by the same rule, and a test holds the two together."""
         counts, successes = self.counts, self.successes
         for k, outcome in zip(arms, outcomes, strict=True):
             counts[k] += 1

@@ -7,6 +7,7 @@ import pytest
 
 from dpconc.bandit import (
     POLICIES,
+    _STEPS,
     BanditInstance,
     PolicyState,
     _bernoulli,
@@ -444,15 +445,6 @@ def test_array_draw_is_the_scalar_draws(m):
         assert array.bit_generator.state == scalar.bit_generator.state
 
 
-HAND_STEPS = {
-    "cts": cts_step,
-    "cucb": lambda inst, st, rng: cucb_kl_step(inst, st),
-    "escb": lambda inst, st, rng: escb_kl_step(inst, st),
-    "oracle": lambda inst, st, rng: 0,
-    "worst": lambda inst, st, rng: inst.block_means.index(min(inst.block_means)),
-}
-
-
 @pytest.mark.parametrize("name", PINNED_INSTANCES)
 @pytest.mark.parametrize("policy", POLICIES)
 def test_run_experiment_is_the_hand_stepped_state(name, policy):
@@ -468,7 +460,7 @@ def test_run_experiment_is_the_hand_stepped_state(name, policy):
             state = PolicyState.fresh(instance.n)
             actions = []
             for _ in range(T):
-                j = HAND_STEPS[policy](instance, state, rng)
+                j = _STEPS[policy](instance, state, rng)
                 arms = instance.block_arms(j)
                 state.update(arms, [rng.random() < theta[k] for k in arms])
                 actions.append(j)
